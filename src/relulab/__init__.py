@@ -57,14 +57,15 @@ from relulab.numerics import (
     sample_uniform_ball,
 )
 from relulab.rates import compare_slopes, exponent_table, predicted_exponent
+# The function ``sharpness`` is not re-exported here: binding it on the
+# package would hide the submodule ``relulab.sharpness``.  Import it from
+# the submodule.
 from relulab.sharpness import (
     ActivationBoundaryWarning,
     RegularityCertificate,
     gauss_newton_sharpness,
     hessian_vector_product,
-    is_stable,
     regularity_certificate,
-    sharpness,
     term_a_lower_bound,
 )
 from relulab.shattering import (
@@ -77,7 +78,6 @@ from relulab.training import (
     TrainConfig,
     TrainLog,
     TrainingDivergedError,
-    gd_step,
     train,
 )
 from relulab.weights import (

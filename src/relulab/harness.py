@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .nets import Dataset, TwoLayerNet, forward, kaiming_init
-from .numerics import derive_rng, loglog_slope, make_rng, sample_uniform_ball
+from .numerics import check_finite_fields, derive_rng, loglog_slope, make_rng, sample_uniform_ball
 from .shattering import NeuronStats, neuron_stats, neuron_stats_to_csv, shattering_report
 from .sharpness import sharpness
 from .training import TrainConfig, TrainLog, TrainingDivergedError, train, train_log_to_csv
@@ -142,6 +142,7 @@ class SweepConfig:
             raise ValueError("dims and sample_sizes must be nonempty")
         if min(dims) < 1 or min(sizes) < 1:
             raise ValueError("dims and sample_sizes must be positive")
+        check_finite_fields(self)
         if self.sigma < 0.0:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
         if self.seeds_per_cell < 1:
@@ -187,11 +188,7 @@ class RunRecord:
     dead_neuron_share: float
 
     def __post_init__(self):
-        for field in dataclasses.fields(self):
-            if field.type == "float":
-                value = getattr(self, field.name)
-                if not np.isfinite(value):
-                    raise ValueError(f"metric {field.name} is not finite: {value!r}")
+        check_finite_fields(self, "metric ")
 
 
 @dataclass(frozen=True)
@@ -299,8 +296,9 @@ def _measure_cell(
     holdout_size: int,
     holdout_rng,
     sharpness_rng,
-) -> RunRecord:
-    """Assemble the RunRecord for a finished training run."""
+) -> tuple[RunRecord, NeuronStats]:
+    """Assemble the RunRecord for a finished training run, and return it
+    with the per-neuron statistics it was built from."""
     net = log.net
     in_sample = float(np.mean((forward(net, data.inputs) - data.f0_values(data.inputs)) ** 2))
     holdout = _holdout_dataset(data, holdout_size, holdout_rng)
@@ -315,8 +313,9 @@ def _measure_cell(
         max_iters=train_config.telemetry_max_iters,
         rng=sharpness_rng,
     )
-    report = shattering_report(neuron_stats(net, data.inputs))
-    return RunRecord(
+    stats = neuron_stats(net, data.inputs)
+    report = shattering_report(stats)
+    record = RunRecord(
         config_hash=chash,
         d=d,
         n=n,
@@ -331,6 +330,7 @@ def _measure_cell(
         sparse_neuron_share=report.sparse_neuron_share,
         dead_neuron_share=report.dead_neuron_share,
     )
+    return record, stats
 
 
 def run_cell_with_log(cfg: SweepConfig, d: int, n: int, seed: int):
@@ -346,7 +346,7 @@ def run_cell_with_log(cfg: SweepConfig, d: int, n: int, seed: int):
     width = cfg.width_rule * n
     net0 = kaiming_init(cell_rng(cfg.master_seed, d, n, seed, INIT_CHANNEL), d, width)
     log = train(net0, data, cfg.train)
-    record = _measure_cell(
+    record, _ = _measure_cell(
         config_hash(cfg),
         d,
         n,
@@ -476,6 +476,7 @@ class ShatterConfig:
     def __post_init__(self):
         if self.d < 1 or self.n < 1 or self.width < 1:
             raise ValueError("d, n, and width must be positive")
+        check_finite_fields(self)
         if self.sigma < 0.0 or self.epochs < 0:
             raise ValueError("sigma must be >= 0 and epochs >= 0")
 
@@ -528,7 +529,7 @@ def run_shattering_experiment(cfg: ShatterConfig) -> ShatterResult:
         log = train(net0, data, train_cfg)
         payload = cfg.as_dict()
         payload["arm"] = arm
-        record = _measure_cell(
+        record, stats = _measure_cell(
             config_hash(payload),
             d,
             n,
@@ -540,7 +541,7 @@ def run_shattering_experiment(cfg: ShatterConfig) -> ShatterResult:
             cell_rng(cfg.master_seed, d, n, 0, HOLDOUT_CHANNEL),
             cell_rng(cfg.master_seed, d, n, 0, SHARPNESS_CHANNEL),
         )
-        arms[arm] = (record, log, neuron_stats(log.net, data.inputs))
+        arms[arm] = (record, log, stats)
 
     result = ShatterResult(
         large_step=arms["large_step"][0],

@@ -39,6 +39,14 @@ __all__ = [
 
 _DUPLICATE_ATOL = 1e-12
 
+# Rows of x per block in the gradient and Hessian-vector kernels.  Their two
+# (ROW_BLOCK, K) float64 buffers stay cache-sized at the widths used here
+# (1 MiB each at K = 2048), where whole (n, K) arrays would stream through
+# memory.  It is a constant, not a setting: the block size fixes the order in
+# which the per-neuron sums accumulate, so no choice of size can change a
+# rerun's rounding.
+ROW_BLOCK = 64
+
 
 @dataclass(frozen=True)
 class TwoLayerNet:
@@ -164,26 +172,48 @@ def unpack_params(theta: np.ndarray, d: int, k: int) -> TwoLayerNet:
 
 
 def _grad_flat(theta: np.ndarray, x: np.ndarray, y: np.ndarray, d: int, k: int):
-    """Gradient in flat layout plus the loss value, one forward pass."""
+    """Gradient in flat layout plus the loss value, one forward pass.
+
+    Works through ``x`` in row blocks (see :data:`ROW_BLOCK`) so the (n, K)
+    activations are never held whole; every residual depends on its own row
+    only, and the per-neuron sums accumulate block by block.
+    """
     n = x.shape[0]
     w = theta[: k * d].reshape(k, d)
     b = theta[k * d : k * d + k]
     v = theta[k * d + k : k * d + 2 * k]
     beta = theta[-1]
-    z = x @ w.T - b
-    act = z > 0.0
-    a = np.where(act, z, 0.0)
-    r = a @ v + beta - y
+    rows = min(n, ROW_BLOCK)
+    a_buf = np.empty((rows, k))
+    ract_buf = np.empty((rows, k))
+    r = np.empty(n)
+    col = np.zeros((k, d))      # (1/n) sum_i r_i 1_ik x_i
+    colsum = np.zeros(k)        # (1/n) sum_i r_i 1_ik
+    gv = np.zeros(k)
+    for start in range(0, n, ROW_BLOCK):
+        blk = slice(start, start + ROW_BLOCK)
+        xb = x[blk]
+        a = a_buf[: xb.shape[0]]
+        ract = ract_buf[: xb.shape[0]]
+        np.matmul(xb, w.T, out=a)
+        a -= b
+        np.maximum(a, 0.0, out=a)
+        rb = r[blk]
+        np.matmul(a, v, out=rb)
+        rb += beta
+        rb -= y[blk]
+        rv = rb / n
+        # a > 0 exactly where z > 0: the strict 1{z > 0} derivative.
+        np.greater(a, 0.0, out=ract)
+        ract *= rv[:, None]
+        col += ract.T @ xb
+        colsum += ract.sum(axis=0)
+        gv += a.T @ rv
     loss_val = 0.5 * float(np.mean(r * r))
-    rv = r / n
     # dL/dw_k = (1/n) sum_i r_i v_k 1_ik x_i ; dL/db_k = -(1/n) sum_i r_i v_k 1_ik
-    ract = rv[:, None] * act
-    col = ract.T @ x            # (K, d): (1/n) sum_i r_i 1_ik x_i
-    colsum = ract.sum(axis=0)   # (K,):  (1/n) sum_i r_i 1_ik
     gw = v[:, None] * col
     gb = -v * colsum
-    gv = a.T @ rv
-    gbeta = float(rv.sum())
+    gbeta = float((r / n).sum())
     return np.concatenate([gw.ravel(), gb, gv, [gbeta]]), loss_val
 
 

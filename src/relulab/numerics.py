@@ -5,12 +5,14 @@ Everything stochastic in this package flows through an explicitly seeded
 alone.  The module also provides the two geometric samplers used throughout
 (uniform ball, centered Gaussian), a matrix-free power iteration that returns
 the largest *algebraic* eigenvalue of a symmetric operator, an adaptive
-absolute-tolerance quadrature, and an ordinary least squares slope fit in
-log-log coordinates.
+absolute-tolerance quadrature, an ordinary least squares slope fit in
+log-log coordinates, and the finiteness check that configs and records run
+on their float fields.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -28,6 +30,7 @@ __all__ = [
     "QuadratureError",
     "quadrature_1d",
     "loglog_slope",
+    "check_finite_fields",
 ]
 
 RngLike = "int | np.random.SeedSequence | np.random.Generator"
@@ -282,3 +285,15 @@ def loglog_slope(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
     logy = np.log(pts[:, 1])
     slope, intercept = np.polyfit(logx, logy, 1)
     return float(slope), float(intercept)
+
+
+def check_finite_fields(obj, label: str = "") -> None:
+    """Raise ``ValueError`` if a float-annotated field of the dataclass
+    instance ``obj`` is NaN or infinite (``nan <= 0`` is False, so range
+    checks alone let NaN through).  ``label`` prefixes the field name in
+    the message."""
+    for field in dataclasses.fields(obj):
+        if field.type == "float":
+            value = getattr(obj, field.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{label}{field.name} must be finite, got {value!r}")

@@ -29,7 +29,16 @@ from typing import Callable
 
 import numpy as np
 
-from relulab.nets import Dataset, TwoLayerNet, forward, loss, param_count, to_reduced_form, weighted_path_norm
+from relulab.nets import (
+    ROW_BLOCK,
+    Dataset,
+    TwoLayerNet,
+    forward,
+    loss,
+    param_count,
+    to_reduced_form,
+    weighted_path_norm,
+)
 from relulab.numerics import power_iteration
 from relulab.weights import EmpiricalWeight, tilde_g_empirical
 
@@ -39,7 +48,6 @@ __all__ = [
     "make_hessian_operator",
     "sharpness",
     "gauss_newton_sharpness",
-    "is_stable",
     "term_a_lower_bound",
     "RegularityCertificate",
     "regularity_certificate",
@@ -61,8 +69,11 @@ def make_hessian_operator(
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Return a closure computing ``H @ vec`` in the flat parameter layout.
 
-    Activations and residuals are computed once, so repeated applications
-    (power iteration) cost two small matrix products each.
+    Activations and residuals are computed once.  Each application then
+    works through the rows of ``x`` in blocks of :data:`relulab.nets.ROW_BLOCK`,
+    like the gradient kernel, with two (ROW_BLOCK, K) buffers owned by the
+    operator rather than the module, since sweep cells build operators on
+    a thread pool.
     """
     x = data.inputs
     y = data.labels
@@ -91,6 +102,9 @@ def make_hessian_operator(
         res_bsum = ract.sum(axis=0) / n  # (K,)
 
     wd = k * d
+    rows = min(n, ROW_BLOCK)
+    core_buf = np.empty((rows, k))
+    sact_buf = np.empty((rows, k))
 
     def apply(vec: np.ndarray) -> np.ndarray:
         vw = vec[:wd].reshape(k, d)
@@ -98,20 +112,39 @@ def make_hessian_operator(
         vv = vec[wd + k : wd + 2 * k]
         vbeta = vec[-1]
 
-        xv = x @ vw.T                       # (n, K)
-        core = np.where(act, xv - vb, 0.0)  # 1_ik (x_i . Vw_k - Vb_k)
-        s = core @ v + a @ vv + vbeta       # per-example gradient pairing
+        s = np.empty(n)             # per-example gradient pairing
+        sw = np.zeros((k, d))       # sum_i s_i 1_ik x_i
+        ssum = np.zeros(k)          # sum_i s_i 1_ik
+        hv = np.zeros(k)
+        for start in range(0, n, ROW_BLOCK):
+            blk = slice(start, start + ROW_BLOCK)
+            xb = x[blk]
+            actb = act[blk]
+            ab = a[blk]
+            core = core_buf[: xb.shape[0]]
+            sact = sact_buf[: xb.shape[0]]
+            np.matmul(xb, vw.T, out=core)
+            core -= vb
+            core *= actb                # 1_ik (x_i . Vw_k - Vb_k)
+            sb = s[blk]
+            np.matmul(core, v, out=sb)
+            sb += ab @ vv
+            sb += vbeta
+            np.multiply(actb, sb[:, None], out=sact)
+            sw += sact.T @ xb
+            ssum += sact.sum(axis=0)
+            hv += ab.T @ sb
+            if not gauss_newton_only:
+                hv += core.T @ r[blk]
 
-        sact = s[:, None] * act
-        hw = v[:, None] * (sact.T @ x) / n
-        hb = -v * (sact.sum(axis=0)) / n
-        hv = a.T @ s / n
+        hw = v[:, None] * sw / n
+        hb = -v * ssum / n
+        hv /= n
         hbeta = float(s.mean())
 
         if not gauss_newton_only:
             hw = hw + vv[:, None] * res_wx
             hb = hb - vv * res_bsum
-            hv = hv + core.T @ r / n
 
         return np.concatenate([hw.ravel(), hb, hv, [hbeta]])
 
@@ -173,14 +206,6 @@ def gauss_newton_sharpness(
 ) -> float:
     """Largest eigenvalue of the Gauss-Newton part alone (PSD)."""
     return _top_eigenvalue(net, data, True, rel_tol, max_iters, rng)
-
-
-def is_stable(net: TwoLayerNet, data: Dataset, eta: float, **kwargs) -> bool:
-    """Linear-stability test for gradient descent with step size ``eta``:
-    sharpness <= 2/eta."""
-    if eta <= 0.0:
-        raise ValueError(f"step size must be positive, got {eta}")
-    return sharpness(net, data, **kwargs) <= 2.0 / eta
 
 
 def term_a_lower_bound(net: TwoLayerNet, data: Dataset) -> float:

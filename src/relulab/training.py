@@ -19,14 +19,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from relulab.nets import Dataset, TwoLayerNet, _grad_flat, loss, pack_params, unpack_params
-from relulab.numerics import make_rng
+from relulab.numerics import check_finite_fields, make_rng
 from relulab.sharpness import sharpness
 
 __all__ = [
     "TrainConfig",
     "TrainLog",
     "TrainingDivergedError",
-    "gd_step",
     "gd_step_flat",
     "train",
     "train_log_to_csv",
@@ -62,6 +61,7 @@ class TrainConfig:
     telemetry_max_iters: int = 5000
 
     def __post_init__(self):
+        check_finite_fields(self)
         if self.eta <= 0.0:
             raise ValueError(f"step size must be positive, got {self.eta}")
         if self.epochs < 0:
@@ -130,14 +130,6 @@ def gd_step_flat(
     if clipped:
         grad = grad * (config.clip_threshold / gnorm)
     return theta - config.eta * grad, loss_val, clipped
-
-
-def gd_step(net: TwoLayerNet, data: Dataset, config: TrainConfig) -> TwoLayerNet:
-    """One full-batch step at the network level."""
-    theta, _, _ = gd_step_flat(
-        pack_params(net), data.inputs, data.labels, net.input_dim, net.width, config
-    )
-    return unpack_params(theta, net.input_dim, net.width)
 
 
 def train(net: TwoLayerNet, data: Dataset, config: TrainConfig) -> TrainLog:

@@ -177,6 +177,24 @@ class TestConfigHash:
                 mse_mode="holdout",
             )
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "make,field",
+        [(TrainConfig, f) for f in ("eta", "clip_threshold", "weight_decay", "telemetry_rel_tol")]
+        + [(SweepConfig, "sigma")]
+        + [
+            (ShatterConfig, f)
+            for f in (
+                "sigma", "eta_large", "eta_decay", "weight_decay", "clip_threshold",
+                "telemetry_rel_tol",
+            )
+        ],
+    )
+    def test_non_finite_float_fields_rejected(self, make, field, value):
+        valid = {TrainConfig: dict(eta=0.1, epochs=1), SweepConfig: self.BASE, ShatterConfig: {}}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            make(**{**valid[make], field: value})
+
 
 class TestRunRecordInvariants:
     FIELDS = dict(

@@ -1,0 +1,120 @@
+"""Row-blocked gradient and Hessian-vector kernels against plain numpy.
+
+The kernels work through the rows of ``x`` in blocks of ``ROW_BLOCK``; the
+references below hold every (n, K) array whole, as the formulas read.  Sums
+accumulate in another order, so agreement is to a relative 1e-13, not bit for
+bit.
+"""
+
+import tracemalloc
+import warnings
+
+import numpy as np
+import pytest
+
+from relulab.nets import ROW_BLOCK, Dataset, TwoLayerNet, loss_gradient, pack_params, param_count
+from relulab.numerics import make_rng, sample_uniform_ball
+from relulab.sharpness import ActivationBoundaryWarning, make_hessian_operator
+from relulab.training import TrainConfig, gd_step_flat
+
+REL_TOL = 1e-13
+
+
+def _reference_gradient(net, x, y):
+    n = x.shape[0]
+    z = x @ net.w.T - net.b
+    act = z > 0.0
+    a = np.where(act, z, 0.0)
+    r = a @ net.v + net.beta - y
+    ract = (r / n)[:, None] * act
+    gw = net.v[:, None] * (ract.T @ x)
+    gb = -net.v * ract.sum(axis=0)
+    gv = a.T @ r / n
+    return np.concatenate([gw.ravel(), gb, gv, [r.mean()]])
+
+
+def _reference_hvp(net, x, y, vec, gauss_newton_only):
+    n, d = x.shape
+    k = net.width
+    vw = vec[: k * d].reshape(k, d)
+    vb = vec[k * d : k * d + k]
+    vv = vec[k * d + k : k * d + 2 * k]
+    z = x @ net.w.T - net.b
+    act = z > 0.0
+    a = np.where(act, z, 0.0)
+    r = a @ net.v + net.beta - y
+    core = np.where(act, x @ vw.T - vb, 0.0)
+    s = core @ net.v + a @ vv + vec[-1]
+    sact = s[:, None] * act
+    hw = net.v[:, None] * (sact.T @ x) / n
+    hb = -net.v * sact.sum(axis=0) / n
+    hv = a.T @ s / n
+    if not gauss_newton_only:
+        ract = r[:, None] * act
+        hw = hw + vv[:, None] * (ract.T @ x) / n
+        hb = hb - vv * ract.sum(axis=0) / n
+        hv = hv + core.T @ r / n
+    return np.concatenate([hw.ravel(), hb, hv, [s.mean()]])
+
+
+def _instance(n, d=3, k=40, seed=0):
+    """Random net and data whose first neuron sits exactly on the kink at
+    the first input: x_0 = (0.5, 0, ...), w_0 = e_1, b_0 = 0.5."""
+    rng = make_rng(seed + n)
+    x = sample_uniform_ball(rng, d, n)
+    x[0] = 0.0
+    x[0, 0] = 0.5
+    w = rng.standard_normal((k, d))
+    w[0] = 0.0
+    w[0, 0] = 1.0
+    b = rng.normal(scale=0.3, size=k)
+    b[0] = 0.5
+    net = TwoLayerNet(w=w, b=b, v=rng.standard_normal(k), beta=float(rng.normal()))
+    data = Dataset(inputs=x, labels=rng.standard_normal(n))
+    assert (x @ net.w.T - net.b)[0, 0] == 0.0
+    return net, data, rng
+
+
+def _assert_close(got, ref):
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= REL_TOL * np.max(np.abs(ref))
+
+
+SIZES = [1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 2]
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_blocked_gradient_matches_unblocked_reference(n):
+    net, data, _ = _instance(n)
+    _assert_close(loss_gradient(net, data), _reference_gradient(net, data.inputs, data.labels))
+
+
+@pytest.mark.parametrize("gauss_newton_only", [False, True])
+@pytest.mark.parametrize("n", SIZES)
+def test_blocked_hvp_matches_unblocked_reference(n, gauss_newton_only):
+    net, data, rng = _instance(n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ActivationBoundaryWarning)
+        op = make_hessian_operator(net, data, gauss_newton_only)
+    # Reapplying one operator must not carry state between calls.
+    for _ in range(2):
+        vec = rng.standard_normal(param_count(net.input_dim, net.width))
+        ref = _reference_hvp(net, data.inputs, data.labels, vec, gauss_newton_only)
+        _assert_close(op(vec), ref)
+
+
+def test_training_step_allocates_a_few_blocks_not_whole_activations():
+    # At the shattering shape two (ROW_BLOCK, K) buffers plus the gradient
+    # come to about 2.6 MiB; a single whole (n, K) float64 array is 8 MiB.
+    d, n, k = 10, 512, 2048
+    net, data, _ = _instance(n, d=d, k=k)
+    theta = pack_params(net)
+    cfg = TrainConfig(eta=0.1, epochs=1)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        gd_step_flat(theta, data.inputs, data.labels, d, k, cfg, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - base) / 2**20 <= 4.0

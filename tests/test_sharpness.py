@@ -1,6 +1,7 @@
 """Tests for Hessian-vector products, sharpness, and the certificate."""
 
 import math
+import types
 import warnings
 
 import numpy as np
@@ -22,7 +23,6 @@ from relulab.sharpness import (
     RegularityCertificate,
     gauss_newton_sharpness,
     hessian_vector_product,
-    is_stable,
     make_hessian_operator,
     regularity_certificate,
     sharpness,
@@ -184,15 +184,6 @@ class TestSharpnessValues:
             warnings.simplefilter("error")
             hessian_vector_product(net, data, np.zeros(param_count(1, 1)))
 
-    def test_is_stable_threshold(self):
-        net = TestHandTracedHessian.NET
-        data = TestHandTracedHessian.DATA
-        lam = sharpness(net, data, rel_tol=1e-12, max_iters=50000)
-        assert is_stable(net, data, 2.0 / lam * 0.99, rel_tol=1e-12, max_iters=50000)
-        assert not is_stable(net, data, 2.0 / lam * 1.01, rel_tol=1e-12, max_iters=50000)
-        with pytest.raises(ValueError, match="positive"):
-            is_stable(net, data, 0.0)
-
 
 class TestTermALowerBound:
     def test_two_point_hand_computation(self):
@@ -253,3 +244,11 @@ class TestRegularityCertificate:
         net, data = _random_instance(rng, 1, 2, 4)
         cert = regularity_certificate(net, data, g=EmpiricalWeight(points=data.inputs))
         assert cert.holds
+
+
+def test_package_attribute_is_the_sharpness_module():
+    # The package root must not bind the function over the submodule.
+    import relulab.sharpness as module
+
+    assert isinstance(module, types.ModuleType)
+    assert module.make_hessian_operator is make_hessian_operator

@@ -9,7 +9,6 @@ from relulab.training import (
     TrainConfig,
     TrainingDivergedError,
     TrainLog,
-    gd_step,
     gd_step_flat,
     train,
     train_log_to_csv,
@@ -54,13 +53,6 @@ class TestHandSteppedDescent:
         assert loss0 == 0.125
         assert not clipped
         np.testing.assert_allclose(theta1, [1.05, -0.1, 1.05, 0.1], rtol=1e-15)
-
-    def test_net_level_step_matches_flat(self):
-        cfg = TrainConfig(eta=0.2, epochs=1)
-        stepped = gd_step(self.NET, self.DATA, cfg)
-        np.testing.assert_allclose(
-            pack_params(stepped), [1.05, -0.1, 1.05, 0.1], rtol=1e-15
-        )
 
 
 class TestWeightDecay:
