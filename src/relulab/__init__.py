@@ -14,7 +14,6 @@ from relulab.harness import (
     ShatterResult,
     SweepConfig,
     SweepResult,
-    generalization_gap,
     make_regression_dataset,
     run_mse_sweep,
     run_shattering_experiment,

@@ -22,7 +22,7 @@ from importlib import metadata
 import numpy as np
 
 from . import __version__
-from .nets import Dataset, TwoLayerNet, forward, kaiming_init
+from .nets import Dataset, forward, kaiming_init
 from .numerics import check_finite_fields, derive_rng, loglog_slope, make_rng, sample_uniform_ball
 from .shattering import NeuronStats, neuron_stats, neuron_stats_to_csv, shattering_report
 from .sharpness import sharpness
@@ -50,8 +50,6 @@ __all__ = [
     "config_hash",
     "cell_rng",
     "make_regression_dataset",
-    "risk_gap",
-    "generalization_gap",
     "run_single_cell",
     "run_cell_with_log",
     "run_mse_sweep",
@@ -252,39 +250,6 @@ def make_regression_dataset(rng, d: int, n: int, sigma: float) -> Dataset:
     )
 
 
-def _holdout_dataset(data: Dataset, size: int, rng) -> Dataset:
-    if data.f0_direction is None or data.noise_sigma is None:
-        raise ValueError("dataset lacks a ground-truth descriptor or noise level")
-    x = sample_uniform_ball(rng, data.d, size)
-    noise = rng.standard_normal(size)
-    return Dataset(
-        inputs=x,
-        labels=x @ data.f0_direction + data.noise_sigma * noise,
-        f0_direction=data.f0_direction,
-        noise_sigma=data.noise_sigma,
-    )
-
-
-def risk_gap(net: TwoLayerNet, train_data: Dataset, holdout_data: Dataset) -> float:
-    """|holdout risk - train risk| where risk is the mean squared error
-    against the noisy labels of each set."""
-    risk_in = float(np.mean((forward(net, train_data.inputs) - train_data.labels) ** 2))
-    risk_out = float(np.mean((forward(net, holdout_data.inputs) - holdout_data.labels) ** 2))
-    return abs(risk_out - risk_in)
-
-
-def generalization_gap(net: TwoLayerNet, data: Dataset, holdout_size: int, rng) -> float:
-    """Plug-in gap estimate against a fresh holdout sample.
-
-    The holdout is drawn from the generative process recorded on ``data``
-    (same f0 direction, same noise level).
-    """
-    if holdout_size < 1:
-        raise ValueError(f"holdout_size must be >= 1, got {holdout_size}")
-    holdout = _holdout_dataset(data, holdout_size, make_rng(rng))
-    return risk_gap(net, data, holdout)
-
-
 def _measure_cell(
     chash: str,
     d: int,
@@ -301,7 +266,7 @@ def _measure_cell(
     with the per-neuron statistics it was built from."""
     net = log.net
     in_sample = float(np.mean((forward(net, data.inputs) - data.f0_values(data.inputs)) ** 2))
-    holdout = _holdout_dataset(data, holdout_size, holdout_rng)
+    holdout = make_regression_dataset(holdout_rng, d, holdout_size, data.noise_sigma)
     predictions = forward(net, holdout.inputs)
     holdout_mse = float(np.mean((predictions - holdout.f0_values(holdout.inputs)) ** 2))
     risk_out = float(np.mean((predictions - holdout.labels) ** 2))

@@ -39,12 +39,13 @@ __all__ = [
 
 _DUPLICATE_ATOL = 1e-12
 
-# Rows of x per block in the gradient and Hessian-vector kernels.  Their two
-# (ROW_BLOCK, K) float64 buffers stay cache-sized at the widths used here
-# (1 MiB each at K = 2048), where whole (n, K) arrays would stream through
-# memory.  It is a constant, not a setting: the block size fixes the order in
-# which the per-neuron sums accumulate, so no choice of size can change a
-# rerun's rounding.
+# Rows of x per block in the forward pass, the gradient and Hessian-vector
+# kernels and the neuron statistics.  Their (ROW_BLOCK, K) float64 buffers
+# stay cache-sized at the widths used here (1 MiB each at K = 2048), where
+# whole (n, K) arrays would stream through memory, and a 10^4-point holdout
+# never holds more than one block.  It is a constant, not a setting: the
+# block size fixes the order in which the per-neuron sums accumulate, so no
+# choice of size can change a rerun's rounding.
 ROW_BLOCK = 64
 
 
@@ -136,13 +137,42 @@ class Dataset:
 # forward / loss / gradient
 # ---------------------------------------------------------------------------
 
+def _relu_blocks(x: np.ndarray, w: np.ndarray, b: np.ndarray):
+    """Yield ``(rows, a)`` for each block of :data:`ROW_BLOCK` rows of ``x``
+    (the last block may hold one row more), with
+    ``a = relu(x[rows] @ w.T - b)``.
+
+    Every block is written into the same buffer, so ``a`` is valid only
+    until the next block is drawn.  This is the one place the forward pass,
+    the gradient and the neuron statistics compute activations.
+    """
+    n = x.shape[0]
+    buf = np.empty((min(n, ROW_BLOCK + 1), w.shape[0]))
+    start = 0
+    while start < n:
+        # numpy takes a one-row product through dot rather than gemv, and the
+        # two round differently, so a lone last row joins the block before.
+        stop = n if n - start <= ROW_BLOCK + 1 else start + ROW_BLOCK
+        rows = slice(start, stop)
+        xb = x[rows]
+        a = buf[: stop - start]
+        np.matmul(xb, w.T, out=a)
+        a -= b
+        np.maximum(a, 0.0, out=a)
+        yield rows, a
+        start = stop
+
+
 def forward(net: TwoLayerNet, x: np.ndarray) -> np.ndarray | float:
     """Network values at ``x`` (a single d-vector or an (n, d) batch)."""
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = x[None, :] if single else x
-    z = pts @ net.w.T - net.b
-    out = np.maximum(z, 0.0) @ net.v + net.beta
+    out = np.empty(pts.shape[0])
+    for rows, a in _relu_blocks(pts, net.w, net.b):
+        ob = out[rows]
+        np.matmul(a, net.v, out=ob)
+        ob += net.beta
     return float(out[0]) if single else out
 
 
@@ -183,21 +213,14 @@ def _grad_flat(theta: np.ndarray, x: np.ndarray, y: np.ndarray, d: int, k: int):
     b = theta[k * d : k * d + k]
     v = theta[k * d + k : k * d + 2 * k]
     beta = theta[-1]
-    rows = min(n, ROW_BLOCK)
-    a_buf = np.empty((rows, k))
-    ract_buf = np.empty((rows, k))
+    ract_buf = np.empty((min(n, ROW_BLOCK + 1), k))
     r = np.empty(n)
     col = np.zeros((k, d))      # (1/n) sum_i r_i 1_ik x_i
     colsum = np.zeros(k)        # (1/n) sum_i r_i 1_ik
     gv = np.zeros(k)
-    for start in range(0, n, ROW_BLOCK):
-        blk = slice(start, start + ROW_BLOCK)
+    for blk, a in _relu_blocks(x, w, b):
         xb = x[blk]
-        a = a_buf[: xb.shape[0]]
         ract = ract_buf[: xb.shape[0]]
-        np.matmul(xb, w.T, out=a)
-        a -= b
-        np.maximum(a, 0.0, out=a)
         rb = r[blk]
         np.matmul(a, v, out=rb)
         rb += beta

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from relulab.nets import TwoLayerNet
+from relulab.nets import TwoLayerNet, _relu_blocks
 
 __all__ = [
     "NeuronStats",
@@ -65,8 +65,11 @@ def neuron_stats(net: TwoLayerNet, inputs: np.ndarray) -> NeuronStats:
     x = np.asarray(inputs, dtype=float)
     if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] != net.input_dim:
         raise ValueError(f"inputs must be (n, {net.input_dim}) non-empty, got {x.shape}")
-    z = x @ net.w.T - net.b
-    fraction = np.mean(z > 0.0, axis=0)
+    # Exact integer counts, so the fractions do not depend on the blocking.
+    active = np.zeros(net.width, dtype=np.int64)
+    for _, a in _relu_blocks(x, net.w, net.b):
+        active += np.count_nonzero(a > 0.0, axis=0)
+    fraction = active / x.shape[0]
     norms = np.linalg.norm(net.w, axis=1)
     magnitude = np.abs(net.v) * norms
     offset = np.full(norms.shape, np.nan)

@@ -1,0 +1,70 @@
+"""Golden artifact hashes of three small CLI runs.
+
+A change that claims to leave the numbers alone must reproduce these bytes.
+A change that moves floats on purpose (a reordered reduction, say) says so in
+CHANGES.md and replaces the hashes once.  ``manifest.json`` is left out: it
+records the Python and library versions of the machine that wrote it.
+
+The hashes were made with numpy 2.4.6 and scipy 1.17.1 (OpenBLAS, x86-64).
+BLAS kernels may round differently on another build or CPU, so a mismatch on
+a different stack is not by itself a fault in relulab.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from relulab.cli import main as cli_main
+
+RUNS = {
+    # The criterion-15 configs; the holdout of 500 points crosses the
+    # 64-row block edges of the forward pass.
+    "sweep": (
+        "sweep-mse",
+        7,
+        {
+            "dims": [1, 2],
+            "sample_sizes": [8, 16],
+            "sigma": 0.5,
+            "seeds_per_cell": 2,
+            "holdout_size": 500,
+            "train": {"eta": 0.1, "epochs": 200},
+        },
+    ),
+    "train": ("train", 3, {"d": 2, "n": 16, "train": {"eta": 0.1, "epochs": 100, "sharpness_every": 25}}),
+    "shatter": ("shatter", 1, {"d": 3, "n": 100, "width": 200, "epochs": 200}),
+}
+
+GOLDEN = {
+    "sweep": {
+        "failures.csv": "7b39adae08a041715d2472e4b2fa7599e95c4b822f674b009ef298910f211dac",
+        "slopes.json": "a1c33b0c5bc767aec43bff3ffc76b68b7ca4a48b0ed9c538076ebed49f7e1cc0",
+        "sweep.csv": "b1f4a127cbc89c80365dc98d7559d5aec1aab9b827a68ed1d20778526c222735",
+    },
+    "train": {
+        "checkpoint.bin": "170b09ccc9fbb2a47ae83b6adceb56cb582127caa45245bb9d10abc447b20ccb",
+        "record.json": "c570a058afe836f7bfd087047d113c322e33b5d938cdc551f42d6f34010c8679",
+        "training_log.csv": "4964c0dd25abd11516a4e744e169dde7a36562946b3f9b7eeb79d77200928d54",
+    },
+    "shatter": {
+        "records.json": "c9c742ce3625c20221fe245229f932a3df01cb016481a585ac8aa1f9912339e1",
+        "scatter_large_step.csv": "f98edee1536aa527d4113d2ba80b85c2336dfd48f6c3c4590cb6edc97fb3fc60",
+        "scatter_weight_decay.csv": "cf707afef182c30be8ad7c945158e682ae0b11bc5086ecb074429c625046b5c5",
+        "training_log_large_step.csv": "e1500f749d9974a94cc7cfd6afeb8c5b45523aa27e6a1a7cfa70781239194ea1",
+        "training_log_weight_decay.csv": "d17edce819539ee8cbea94250379363134e4b1facb71eee534a450239c339579",
+    },
+}
+
+
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_cli_artifacts_match_golden_hashes(run, tmp_path):
+    command, seed, raw = RUNS[run]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert cli_main([command, "--seed", str(seed), "--config", str(config), "--out", str(out)]) == 0
+    written = {p.name for p in out.iterdir()} - {"manifest.json"}
+    assert written == set(GOLDEN[run])
+    for name, digest in GOLDEN[run].items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name

@@ -1,9 +1,10 @@
-"""Row-blocked gradient and Hessian-vector kernels against plain numpy.
+"""Row-blocked kernels against plain numpy.
 
 The kernels work through the rows of ``x`` in blocks of ``ROW_BLOCK``; the
-references below hold every (n, K) array whole, as the formulas read.  Sums
-accumulate in another order, so agreement is to a relative 1e-13, not bit for
-bit.
+references below hold every (n, K) array whole, as the formulas read.  The
+gradient and Hessian-vector sums accumulate in another order, so they agree
+to a relative 1e-13; every forward value is a per-row product and every
+activation fraction an exact count, so those agree bit for bit.
 """
 
 import tracemalloc
@@ -12,12 +13,25 @@ import warnings
 import numpy as np
 import pytest
 
-from relulab.nets import ROW_BLOCK, Dataset, TwoLayerNet, loss_gradient, pack_params, param_count
+from relulab.nets import (
+    ROW_BLOCK,
+    Dataset,
+    TwoLayerNet,
+    forward,
+    loss_gradient,
+    pack_params,
+    param_count,
+)
 from relulab.numerics import make_rng, sample_uniform_ball
 from relulab.sharpness import ActivationBoundaryWarning, make_hessian_operator
+from relulab.shattering import neuron_stats
 from relulab.training import TrainConfig, gd_step_flat
 
 REL_TOL = 1e-13
+
+
+def _reference_forward(net, x):
+    return np.maximum(x @ net.w.T - net.b, 0.0) @ net.v + net.beta
 
 
 def _reference_gradient(net, x, y):
@@ -83,6 +97,30 @@ def _assert_close(got, ref):
 SIZES = [1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 2]
 
 
+@pytest.mark.parametrize("n", SIZES + [10000])
+def test_blocked_forward_equals_unblocked_reference(n):
+    net, data, _ = _instance(n)
+    got = forward(net, data.inputs)
+    assert got.shape == (n,)
+    assert np.array_equal(got, _reference_forward(net, data.inputs))
+
+
+def test_forward_of_a_single_point_is_a_float():
+    net, data, _ = _instance(ROW_BLOCK + 1)
+    for x in data.inputs[:3]:
+        got = forward(net, x)
+        assert isinstance(got, float)
+        assert got == _reference_forward(net, x[None, :])[0]
+
+
+@pytest.mark.parametrize("n", SIZES + [10000])
+def test_blocked_activation_fractions_equal_unblocked_reference(n):
+    net, data, _ = _instance(n)
+    z = data.inputs @ net.w.T - net.b
+    fraction = neuron_stats(net, data.inputs).activation_fraction
+    assert np.array_equal(fraction, np.mean(z > 0.0, axis=0))
+
+
 @pytest.mark.parametrize("n", SIZES)
 def test_blocked_gradient_matches_unblocked_reference(n):
     net, data, _ = _instance(n)
@@ -114,6 +152,22 @@ def test_training_step_allocates_a_few_blocks_not_whole_activations():
     try:
         base = tracemalloc.get_traced_memory()[0]
         gd_step_flat(theta, data.inputs, data.labels, d, k, cfg, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - base) / 2**20 <= 4.0
+
+
+def test_holdout_forward_allocates_a_block_not_whole_activations():
+    # A 10^4-point holdout at the shattering width: one (ROW_BLOCK + 1, K)
+    # buffer plus the output is about 1.1 MiB; the whole (n, K) activations
+    # would be 156 MiB each.
+    d, n, k = 10, 10000, 2048
+    net, data, _ = _instance(n, d=d, k=k)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        forward(net, data.inputs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
