@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from relulab import cli
 from relulab.cli import main
+from relulab.harness import config_hash
 from relulab.nets import load_checkpoint
 
 
@@ -63,6 +65,57 @@ class TestExitCodes:
             },
         )
         assert main(["sweep-mse", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+
+
+COMMANDS = ("train", "sweep-mse", "shatter", "sharpness", "vgnorm", "hardfn-verify", "rates")
+
+# config_hash of the config each command prepares with no --config and the
+# default --seed; see _pinned_form for what is hashed.
+DEFAULT_CONFIG_HASHES = {
+    "train": "3e08662075799726001004b4f7899340fb902f4436803665d606f792a74822c9",
+    "sweep-mse": "98a8dd723c5333df24c7041c144ba19d2a4a28923845e27b1d3f5c2131824993",
+    "shatter": "cc1bcceefe46d871132acaad1698d998c4ed04cd9fe78612dddd4418a3c32728",
+    "sharpness": "d7f825f00ede53772054736420d1a28b946ceb304c9cfecd0dcf2c21192bfd95",
+    "vgnorm": "505c6282ddc9a2e072104f665421d623d0e96ce54ec911b82102212b720a1f86",
+    "hardfn-verify": "bc69b7cc0a963aef647b8b75c4c0bfdd42f4aa7377cdcb31e5343642f1152e3b",
+    "rates": "14726b3adc919531193fd55cee7039faca85eb91f1d19cedff45fa3558e6b7c5",
+}
+
+
+def _pinned_form(prepared) -> dict:
+    """Canonical dict of what a command's prepare step hands its executor.
+
+    train, sweep-mse and shatter get a config dataclass; sharpness gets its
+    cell config with the certificate settings; the rest get a plain dict.
+    """
+    if isinstance(prepared, tuple):
+        cfg, extra = prepared
+        certificate = {k: v for k, v in extra.items() if k.startswith("certificate_")}
+        return {**cfg.as_dict(), **certificate}
+    return prepared if isinstance(prepared, dict) else prepared.as_dict()
+
+
+class TestDefaults:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_default_config_is_pinned(self, command, tmp_path, monkeypatch):
+        prepare, _ = cli._COMMANDS[command]
+        seen = []
+        monkeypatch.setitem(cli._COMMANDS, command, (prepare, lambda p, args: seen.append(p) or 0))
+        assert main([command, "--out", str(tmp_path / "o")]) == 0
+        assert config_hash(_pinned_form(seen[0])) == DEFAULT_CONFIG_HASHES[command]
+
+    @pytest.mark.parametrize("key", ["no_such_key", "seed", "master_seed", "output_dir"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_unknown_and_reserved_keys_rejected(self, command, key, tmp_path, capsys):
+        cfg = _write_config(tmp_path, {key: 1})
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "sweep-mse", "sharpness"])
+    def test_train_seed_key_rejected(self, command, tmp_path, capsys):
+        cfg = _write_config(tmp_path, {"train": {"seed": 5}})
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "unknown train keys: ['seed']" in capsys.readouterr().err
 
 
 class TestTrainCommand:
