@@ -39,7 +39,6 @@ from relulab.nets import (
     load_checkpoint,
     loss,
     loss_gradient,
-    path_norm,
     save_checkpoint,
     to_reduced_form,
     weighted_path_norm,
@@ -52,7 +51,6 @@ from relulab.numerics import (
     make_rng,
     power_iteration,
     quadrature_1d,
-    sample_gaussian,
     sample_uniform_ball,
 )
 from relulab.rates import compare_slopes, exponent_table, predicted_exponent
@@ -80,9 +78,7 @@ from relulab.training import (
     train,
 )
 from relulab.weights import (
-    AnalyticUniformBall,
     EmpiricalWeight,
-    SimplifiedUniformBall,
     g_analytic,
     g_empirical,
     g_simplified,

@@ -25,6 +25,7 @@ from .harness import (
     run_cell_with_log,
     run_mse_sweep,
     run_shattering_experiment,
+    write_json,
     write_manifest,
 )
 from .hardfn import (
@@ -54,59 +55,57 @@ class ConfigError(ValueError):
 _CONFIG_ERRORS = (ConfigError, ValueError, TypeError, KeyError, OSError)
 
 
-def _merge(defaults: dict, override: dict, context: str) -> dict:
-    unknown = sorted(set(override) - set(defaults))
+def _check_keys(raw: dict, allowed, context: str) -> None:
+    unknown = sorted(set(raw) - set(allowed))
     if unknown:
         raise ConfigError(f"unknown {context} keys: {unknown}")
-    merged = dict(defaults)
-    merged.update(override)
-    return merged
 
 
-_TRAIN_DEFAULTS = {
-    "eta": 0.1,
-    "epochs": 100,
-    "epoch_preset": None,
-    "weight_decay": 0.0,
-    "decay_biases": True,
-    "clip_threshold": 50.0,
-    "sharpness_every": 0,
-    "telemetry_rel_tol": 1e-6,
-    "telemetry_max_iters": 5000,
-}
+def _merge(defaults: dict, override: dict, context: str) -> dict:
+    _check_keys(override, defaults, context)
+    return {**defaults, **override}
+
+
+def _field_names(cls) -> set:
+    """Config-file keys of a config dataclass: its fields, less the seeds and
+    the output directory, which come from --seed and --out."""
+    return {f.name for f in dataclasses.fields(cls)} - {"seed", "master_seed", "output_dir"}
+
+
+# Keys and defaults are the config dataclasses' own; the CLI adds its own
+# keys (d and n for one cell, epoch_preset, the certificate settings) and the
+# values the dataclasses leave without a default.
+_TRAIN_KEYS = _field_names(TrainConfig) | {"epoch_preset"}
+_TRAIN_DEFAULTS = {"eta": 0.1, "epochs": 100}
+_CELL_KEYS = {"d", "n"} | (
+    _field_names(SweepConfig) - {"dims", "sample_sizes", "seeds_per_cell", "mse_mode"}
+)
+_CELL_DEFAULTS = {"d": 2, "n": 32, "sigma": 0.5}
+_SWEEP_DEFAULTS = {"dims": [1, 5], "sample_sizes": [32, 64, 128], "sigma": 1.0}
+_CERTIFICATE_DEFAULTS = {"certificate_rel_tol": 1e-10, "certificate_max_iters": 20000}
 
 
 def _train_config(raw: dict, seed: int) -> TrainConfig:
-    merged = _merge(_TRAIN_DEFAULTS, raw, "train")
-    preset = merged.pop("epoch_preset")
+    _check_keys(raw, _TRAIN_KEYS, "train")
+    merged = {**_TRAIN_DEFAULTS, **raw}
+    preset = merged.pop("epoch_preset", None)
     if preset is not None:
         merged["epochs"] = preset_epochs(preset, merged["eta"])
     return TrainConfig(seed=seed, **merged)
 
 
 def _cell_sweep_config(raw: dict, args) -> SweepConfig:
-    defaults = {"d": 2, "n": 32, "width_rule": 4, "sigma": 0.5, "holdout_size": 10000, "train": {}}
-    merged = _merge(defaults, raw, "config")
+    """A one-cell, one-seed SweepConfig for train and sharpness."""
+    _check_keys(raw, _CELL_KEYS, "config")
+    merged = {**_CELL_DEFAULTS, **raw}
     return SweepConfig(
-        dims=(merged["d"],),
-        sample_sizes=(merged["n"],),
-        train=_train_config(merged["train"], args.seed),
-        sigma=merged["sigma"],
+        dims=(merged.pop("d"),),
+        sample_sizes=(merged.pop("n"),),
+        train=_train_config(merged.pop("train", {}), args.seed),
         seeds_per_cell=1,
-        width_rule=merged["width_rule"],
-        holdout_size=merged["holdout_size"],
         master_seed=args.seed,
+        **merged,
     )
-
-
-def _dump_json(path, payload) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _prepare_train(raw: dict, args):
-    return _cell_sweep_config(raw, args)
 
 
 def _execute_train(cfg: SweepConfig, args) -> int:
@@ -115,7 +114,7 @@ def _execute_train(cfg: SweepConfig, args) -> int:
     out = args.out
     train_log_to_csv(log, os.path.join(out, "training_log.csv"))
     save_checkpoint(log.net, os.path.join(out, "checkpoint.bin"))
-    _dump_json(os.path.join(out, "record.json"), dataclasses.asdict(record))
+    write_json(os.path.join(out, "record.json"), dataclasses.asdict(record))
     write_manifest(
         out,
         {"command": "train", **cfg.as_dict()},
@@ -129,28 +128,13 @@ def _execute_train(cfg: SweepConfig, args) -> int:
 
 
 def _prepare_sweep(raw: dict, args):
-    defaults = {
-        "dims": [1, 5],
-        "sample_sizes": [32, 64, 128],
-        "sigma": 1.0,
-        "seeds_per_cell": 5,
-        "width_rule": 4,
-        "mse_mode": "both",
-        "holdout_size": 10000,
-        "train": {},
-    }
-    merged = _merge(defaults, raw, "config")
+    _check_keys(raw, _field_names(SweepConfig), "config")
+    merged = {**_SWEEP_DEFAULTS, **raw}
     return SweepConfig(
-        dims=tuple(merged["dims"]),
-        sample_sizes=tuple(merged["sample_sizes"]),
-        train=_train_config(merged["train"], args.seed),
-        sigma=merged["sigma"],
-        seeds_per_cell=merged["seeds_per_cell"],
-        width_rule=merged["width_rule"],
-        mse_mode=merged["mse_mode"],
-        holdout_size=merged["holdout_size"],
+        train=_train_config(merged.pop("train", {}), args.seed),
         master_seed=args.seed,
         output_dir=args.out,
+        **merged,
     )
 
 
@@ -168,22 +152,8 @@ def _execute_sweep(cfg: SweepConfig, args) -> int:
 
 
 def _prepare_shatter(raw: dict, args):
-    defaults = {
-        "d": 10,
-        "n": 512,
-        "width": 2048,
-        "sigma": 1.0,
-        "epochs": 20000,
-        "eta_large": 0.9,
-        "eta_decay": 0.01,
-        "weight_decay": 0.1,
-        "clip_threshold": 10.0,
-        "sharpness_every": 0,
-        "telemetry_rel_tol": 1e-6,
-        "telemetry_max_iters": 5000,
-    }
-    merged = _merge(defaults, raw, "config")
-    return ShatterConfig(master_seed=args.seed, output_dir=args.out, **merged)
+    _check_keys(raw, _field_names(ShatterConfig), "config")
+    return ShatterConfig(master_seed=args.seed, output_dir=args.out, **raw)
 
 
 def _execute_shatter(cfg: ShatterConfig, args) -> int:
@@ -200,35 +170,34 @@ def _execute_shatter(cfg: ShatterConfig, args) -> int:
 
 
 def _prepare_sharpness(raw: dict, args):
-    defaults = {
-        "d": 2,
-        "n": 32,
-        "width_rule": 4,
-        "sigma": 0.5,
-        "holdout_size": 10000,
-        "train": {},
-        "certificate_rel_tol": 1e-10,
-        "certificate_max_iters": 20000,
-    }
-    merged = _merge(defaults, raw, "config")
-    cell_raw = {k: merged[k] for k in ("d", "n", "width_rule", "sigma", "holdout_size", "train")}
-    return _cell_sweep_config(cell_raw, args), merged
+    cell_raw = {k: v for k, v in raw.items() if k not in _CERTIFICATE_DEFAULTS}
+    certificate = {k: raw.get(k, default) for k, default in _CERTIFICATE_DEFAULTS.items()}
+    cfg = _cell_sweep_config(cell_raw, args)
+    if not certificate["certificate_rel_tol"] > 0.0:
+        raise ConfigError(
+            f"certificate_rel_tol must be > 0, got {certificate['certificate_rel_tol']}"
+        )
+    if certificate["certificate_max_iters"] < 1:
+        raise ConfigError(
+            f"certificate_max_iters must be >= 1, got {certificate['certificate_max_iters']}"
+        )
+    return cfg, certificate
 
 
 def _execute_sharpness(prepared, args) -> int:
-    cfg, merged = prepared
+    cfg, certificate = prepared
     d, n = cfg.dims[0], cfg.sample_sizes[0]
     record, log, data = run_cell_with_log(cfg, d, n, 0)
     cert = regularity_certificate(
         log.net,
         data,
-        rel_tol=merged["certificate_rel_tol"],
-        max_iters=merged["certificate_max_iters"],
+        rel_tol=certificate["certificate_rel_tol"],
+        max_iters=certificate["certificate_max_iters"],
         rng=derive_rng(args.seed, 99),
     )
     out = args.out
     save_checkpoint(log.net, os.path.join(out, "checkpoint.bin"))
-    _dump_json(
+    write_json(
         os.path.join(out, "sharpness.json"),
         {
             "sharpness": cert.lambda_max,
@@ -274,7 +243,7 @@ def _execute_vgnorm(merged: dict, args) -> int:
         "required_size": required_size,
         "pass": passed,
     }
-    _dump_json(os.path.join(args.out, "vgnorm.json"), payload)
+    write_json(os.path.join(args.out, "vgnorm.json"), payload)
     write_manifest(args.out, {"command": "vgnorm", "seed": args.seed, **merged}, ["vgnorm.json"])
     print(f"code_length={k}: size={family.size} min_distance={audit} pass={passed}")
     return 0 if passed else 3
@@ -346,7 +315,7 @@ def _execute_hardfn(merged: dict, args) -> int:
         },
         "pass": atom_pass and dist_pass and q_pass,
     }
-    _dump_json(os.path.join(args.out, "hardfn.json"), payload)
+    write_json(os.path.join(args.out, "hardfn.json"), payload)
     write_manifest(
         args.out, {"command": "hardfn-verify", "seed": args.seed, **merged}, ["hardfn.json"]
     )
@@ -373,7 +342,7 @@ def _execute_rates(merged: dict, args) -> int:
 
 
 _COMMANDS = {
-    "train": (_prepare_train, _execute_train),
+    "train": (_cell_sweep_config, _execute_train),
     "sweep-mse": (_prepare_sweep, _execute_sweep),
     "shatter": (_prepare_shatter, _execute_shatter),
     "sharpness": (_prepare_sharpness, _execute_sharpness),

@@ -17,7 +17,6 @@ where directions cannot be packed.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -26,7 +25,6 @@ import numpy as np
 from scipy.special import beta as beta_fn
 from scipy.special import gamma as gamma_fn
 
-from relulab.nets import TwoLayerNet
 from relulab.numerics import make_rng, quadrature_1d, sample_uniform_ball
 from relulab.weights import g_simplified, tail_probability
 
@@ -43,14 +41,10 @@ __all__ = [
     "HardFamily",
     "build_hard_family",
     "member_values",
-    "member_to_net",
     "weighted_variation_upper",
-    "sup_bound",
     "pairwise_sq_distances",
-    "min_l2_separation",
     "indistinguishable_probability",
     "indistinguishable_probability_mc",
-    "kl_divergence",
     "ball_volume",
     "bump_curvature_mass",
     "bump_curvature_mass_closed_form",
@@ -364,28 +358,10 @@ def member_values(family: HardFamily, index: int, points: np.ndarray) -> np.ndar
     return scale * (acts @ family.code.signs[index])
 
 
-def member_to_net(family: HardFamily, index: int) -> TwoLayerNet:
-    """The member is itself a width-K network; hand it over exactly."""
-    tau = atom_threshold(family.eps)
-    scale = family.amplitude / family.eps ** 2
-    return TwoLayerNet(
-        w=family.centers,
-        b=np.full(family.n_atoms, tau),
-        v=scale * family.code.signs[index],
-        beta=0.0,
-    )
-
-
 def weighted_variation_upper(family: HardFamily) -> float:
     """Every member's weighted variation is at most
     K * amplitude * eps^(2d+2) under the closed-form weight."""
     return family.n_atoms * family.amplitude * family.eps ** (2 * family.dim + 2)
-
-
-def sup_bound(family: HardFamily) -> float:
-    """Pointwise bound |member| <= amplitude (supports are disjoint and each
-    normalized atom peaks at 1)."""
-    return family.amplitude
 
 
 def pairwise_sq_distances(family: HardFamily) -> np.ndarray:
@@ -398,12 +374,6 @@ def pairwise_sq_distances(family: HardFamily) -> np.ndarray:
     hamming = (bits[:, None, :] != bits[None, :, :]).sum(axis=-1)
     unit = 2.0 * family.amplitude * atom_l2_norm(family.dim, family.eps) / family.eps ** 2
     return unit ** 2 * hamming
-
-
-def min_l2_separation(family: HardFamily) -> float:
-    """Closed-form lower bound on the distance between distinct members."""
-    unit = 2.0 * family.amplitude * atom_l2_norm(family.dim, family.eps) / family.eps ** 2
-    return unit * math.sqrt(family.code.min_distance)
 
 
 # ---------------------------------------------------------------------------
@@ -448,49 +418,6 @@ def indistinguishable_probability_mc(
         misses += int(np.sum(~hit))
         done += m
     return misses / trials
-
-
-def kl_divergence(family: HardFamily, i: int, j: int, n: int, sigma: float) -> float:
-    """KL divergence between the n-sample Gaussian-noise regression
-    experiments generated by members i and j:
-    n ||f_i - f_j||^2 / (2 sigma^2), with the norm under the normalized
-    uniform-ball measure."""
-    if sigma <= 0.0:
-        raise ValueError(f"noise level must be positive, got {sigma}")
-    sq = pairwise_sq_distances(family)[i, j] / ball_volume(family.dim)
-    return n * sq / (2.0 * sigma * sigma)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def hard_family_to_json(family: HardFamily) -> str:
-    """Deterministic JSON text capturing the family exactly."""
-    payload = {
-        "format": "hard-family-v1",
-        "eps": family.eps,
-        "amplitude": family.amplitude,
-        "centers": family.centers.tolist(),
-        "bits": family.code.bits.astype(int).tolist(),
-        "min_distance": family.code.min_distance,
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def hard_family_from_json(text: str) -> HardFamily:
-    payload = json.loads(text)
-    if payload.get("format") != "hard-family-v1":
-        raise ValueError(f"unrecognized family format: {payload.get('format')!r}")
-    return HardFamily(
-        centers=np.asarray(payload["centers"], dtype=float),
-        eps=float(payload["eps"]),
-        amplitude=float(payload["amplitude"]),
-        code=SignFamily(
-            bits=np.asarray(payload["bits"], dtype=np.uint8),
-            min_distance=int(payload["min_distance"]),
-        ),
-    )
 
 
 # ---------------------------------------------------------------------------

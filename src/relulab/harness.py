@@ -46,7 +46,6 @@ __all__ = [
     "ShatterConfig",
     "ShatterResult",
     "preset_epochs",
-    "apply_epoch_preset",
     "config_hash",
     "cell_rng",
     "make_regression_dataset",
@@ -56,6 +55,7 @@ __all__ = [
     "run_shattering_experiment",
     "write_sweep_csv",
     "append_sweep_records",
+    "write_json",
     "write_manifest",
 ]
 
@@ -106,11 +106,6 @@ def preset_epochs(preset: str, eta: float) -> int:
     if preset == "appendix-A2":
         return round(10000.0 / eta)
     raise ValueError(f"unknown epoch preset {preset!r}; expected one of {EPOCH_PRESETS}")
-
-
-def apply_epoch_preset(config: TrainConfig, preset: str) -> TrainConfig:
-    """Copy of ``config`` with the epoch budget replaced by the preset's."""
-    return dataclasses.replace(config, epochs=preset_epochs(preset, config.eta))
 
 
 @dataclass(frozen=True)
@@ -442,8 +437,9 @@ class ShatterConfig:
         if self.d < 1 or self.n < 1 or self.width < 1:
             raise ValueError("d, n, and width must be positive")
         check_finite_fields(self)
-        if self.sigma < 0.0 or self.epochs < 0:
-            raise ValueError("sigma must be >= 0 and epochs >= 0")
+        if self.sigma < 0.0:
+            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+        self.train_configs()  # both arms' TrainConfig checks
 
     def as_dict(self) -> dict:
         out = dataclasses.asdict(self)
@@ -577,6 +573,14 @@ def _sha256_file(path) -> str:
     return digest.hexdigest()
 
 
+def write_json(path, payload) -> None:
+    """Write ``payload`` as indented, key-sorted JSON with a final newline,
+    the one format of every JSON artifact."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def write_manifest(directory, config_dict: dict, filenames) -> str:
     """Write manifest.json: config, its hash, library versions, file hashes.
 
@@ -596,9 +600,7 @@ def write_manifest(directory, config_dict: dict, filenames) -> str:
         "files": {name: _sha256_file(os.path.join(directory, name)) for name in sorted(filenames)},
     }
     path = os.path.join(directory, "manifest.json")
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, manifest)
     return path
 
 
@@ -617,9 +619,7 @@ def _persist_sweep(cfg: SweepConfig, result: SweepResult) -> None:
         "n_records": len(result.records),
         "n_failures": len(result.failures),
     }
-    with open(os.path.join(cfg.output_dir, "slopes.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(cfg.output_dir, "slopes.json"), summary)
     write_manifest(cfg.output_dir, cfg.as_dict(), ["sweep.csv", "failures.csv", "slopes.json"])
 
 
@@ -635,8 +635,6 @@ def _persist_shatter(cfg: ShatterConfig, result: ShatterResult) -> None:
     records = {
         arm: dataclasses.asdict(getattr(result, arm)) for arm in ("large_step", "weight_decay")
     }
-    with open(os.path.join(cfg.output_dir, "records.json"), "w") as fh:
-        json.dump(records, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(cfg.output_dir, "records.json"), records)
     files.append("records.json")
     write_manifest(cfg.output_dir, cfg.as_dict(), files)

@@ -30,8 +30,6 @@ __all__ = [
     "param_count",
     "kaiming_init",
     "to_reduced_form",
-    "evaluate_reduced",
-    "path_norm",
     "weighted_path_norm",
     "save_checkpoint",
     "load_checkpoint",
@@ -367,22 +365,6 @@ def to_reduced_form(net: TwoLayerNet, radius: float = 1.0) -> ReducedForm:
         c0=c0,
         radius=radius,
     )
-
-
-def evaluate_reduced(rf: ReducedForm, x: np.ndarray) -> np.ndarray | float:
-    """Evaluate a reduced form (single point or batch)."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = x[None, :] if single else x
-    out = pts @ rf.c + rf.c0
-    if rf.n_atoms:
-        out = out + np.maximum(pts @ rf.u.T - rf.t, 0.0) @ rf.a
-    return float(out[0]) if single else out
-
-
-def path_norm(rf: ReducedForm) -> float:
-    """Sum of absolute atom coefficients (the unweighted variation bound)."""
-    return float(np.sum(np.abs(rf.a)))
 
 
 def weighted_path_norm(rf: ReducedForm, g: Callable[[np.ndarray, float], float]) -> float:

@@ -24,7 +24,6 @@ __all__ = [
     "make_rng",
     "derive_rng",
     "sample_uniform_ball",
-    "sample_gaussian",
     "PowerIterationResult",
     "power_iteration",
     "QuadratureError",
@@ -92,17 +91,6 @@ def sample_uniform_ball(rng: np.random.Generator, d: int, count: int) -> np.ndar
     norms[norms == 0.0] = 1.0
     radius = rng.random((count, 1)) ** (1.0 / d)
     return radius * (direction / norms)
-
-
-def sample_gaussian(rng: np.random.Generator, sigma: float, count: int) -> np.ndarray:
-    """Draw ``count`` i.i.d. N(0, sigma^2) scalars.  ``sigma = 0`` gives zeros."""
-    sigma = float(sigma)
-    count = int(count)
-    if sigma < 0.0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    return sigma * rng.standard_normal(count)
 
 
 # ---------------------------------------------------------------------------

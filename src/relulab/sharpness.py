@@ -249,27 +249,18 @@ def regularity_certificate(
     net: TwoLayerNet,
     data: Dataset,
     radius: float = 1.0,
-    g: EmpiricalWeight | None = None,
     rel_tol: float = 1e-10,
     max_iters: int = 20000,
     rng=None,
 ) -> RegularityCertificate:
     """Check the flatness-implies-regularity inequality at ``net``.
 
-    ``g`` must be the :class:`EmpiricalWeight` built from ``data.inputs``
-    (that is the distribution the inequality is proved for); omit it and the
-    certificate builds one.  The certificate is valid at any twice
-    differentiable parameter point, minima included.
+    The weight is the :class:`EmpiricalWeight` of ``data.inputs``, the
+    distribution the inequality is proved for.  The certificate is valid at
+    any twice differentiable parameter point, minima included.
     """
-    if g is None:
-        g = EmpiricalWeight(points=data.inputs)
-    if not isinstance(g, EmpiricalWeight):
-        raise ValueError("the certificate requires the empirical weight variant")
-    if g.points.shape != data.inputs.shape or not np.array_equal(g.points, data.inputs):
-        raise ValueError("g must be built from exactly the training inputs")
-
     rf = to_reduced_form(net, radius)
-    lhs = weighted_path_norm(rf, g)
+    lhs = weighted_path_norm(rf, EmpiricalWeight(points=data.inputs))
     lam = sharpness(net, data, rel_tol=rel_tol, max_iters=max_iters, rng=rng)
     gn_lam = gauss_newton_sharpness(net, data, rel_tol=rel_tol, max_iters=max_iters, rng=rng)
     train_loss = loss(net, data)

@@ -8,13 +8,14 @@ For input distribution P on the unit ball and a direction-offset pair
 with ``U = X . u``, and the weight itself symmetrizes the two orientations,
 ``g(u, t) = min(gtilde(u, t), gtilde(-u, -t))``.  Three variants are provided:
 
-* ``SimplifiedUniformBall``: the closed form ``(1 - |t|)^(d+2)`` that captures
-  the exact decay order for the uniform ball,
-* ``AnalyticUniformBall``: the full expression for the uniform ball, reduced
-  to one dimension by rotational symmetry (the conditional mean vector is
-  parallel to ``u``, so its norm is the scalar conditional mean),
-* ``EmpiricalWeight``: plug-in estimates from a point cloud, with strict
-  inequalities and the convention that an empty conditioning event gives 0.
+* ``g_simplified``: the closed form ``(1 - |t|)^(d+2)`` that captures the
+  exact decay order for the uniform ball,
+* ``g_analytic``: the full expression for the uniform ball, reduced to one
+  dimension by rotational symmetry (the conditional mean vector is parallel
+  to ``u``, so its norm is the scalar conditional mean),
+* ``g_empirical`` and its callable form ``EmpiricalWeight``: plug-in
+  estimates from a point cloud, with strict inequalities and the convention
+  that an empty conditioning event gives 0.
 
 The module also exposes the marginal density of a single coordinate, its tail
 probability (exact through the regularized incomplete Beta function), and the
@@ -24,7 +25,7 @@ constant sandwiches used to certify the ``(1 - t)^(d+2)`` decay on [3/4, 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -43,8 +44,6 @@ __all__ = [
     "g_simplified",
     "tilde_g_empirical",
     "g_empirical",
-    "SimplifiedUniformBall",
-    "AnalyticUniformBall",
     "EmpiricalWeight",
 ]
 
@@ -215,36 +214,8 @@ def g_empirical(points: np.ndarray, u: np.ndarray, t: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# weight-function variants (callable objects g(u, t) -> float)
+# the empirical weight as a callable g(u, t) -> float
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SimplifiedUniformBall:
-    """g(u, t) = (1 - |t|)^(d+2); ignores the direction."""
-
-    d: int
-
-    def __call__(self, u: np.ndarray, t: float) -> float:
-        return g_simplified(self.d, t)
-
-
-@dataclass(frozen=True)
-class AnalyticUniformBall:
-    """Full uniform-ball weight; direction-free by rotational symmetry.
-
-    Values are cached per offset since the quadrature is the expensive part.
-    """
-
-    d: int
-    quadrature_tol: float = 1e-10
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def __call__(self, u: np.ndarray, t: float) -> float:
-        t = float(t)
-        if t not in self._cache:
-            self._cache[t] = g_analytic(self.d, t, self.quadrature_tol)
-        return self._cache[t]
-
 
 @dataclass(frozen=True)
 class EmpiricalWeight:

@@ -46,6 +46,24 @@ class TestExitCodes:
     def test_bad_threads(self, tmp_path):
         assert main(["rates", "--threads", "0", "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize(
+        "command,raw",
+        [
+            ("shatter", {"eta_large": -1.0}),
+            ("shatter", {"eta_decay": 0.0}),
+            ("shatter", {"clip_threshold": 0}),
+            ("shatter", {"epochs": -1}),
+            ("sharpness", {**TINY_TRAIN, "certificate_rel_tol": -1}),
+            ("sharpness", {**TINY_TRAIN, "certificate_rel_tol": float("nan")}),
+            ("sharpness", {**TINY_TRAIN, "certificate_max_iters": 0}),
+        ],
+    )
+    def test_bad_values_rejected_before_the_run(self, command, raw, tmp_path):
+        cfg = _write_config(tmp_path, raw)
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as info:
             main(["frobnicate"])

@@ -1,6 +1,5 @@
 """Tests for the separated-cap family and the univariate bump family."""
 
-import json
 import math
 
 import numpy as np
@@ -28,22 +27,16 @@ from relulab.hardfn import (
     bump_tv2,
     bump_value,
     bump_weighted_variation_upper,
-    hard_family_from_json,
-    hard_family_to_json,
     indistinguishable_probability,
     indistinguishable_probability_mc,
-    kl_divergence,
-    member_to_net,
     member_values,
-    min_l2_separation,
     pack_caps,
     pairwise_sq_distances,
     relu_atom,
-    sup_bound,
     varshamov_gilbert,
     weighted_variation_upper,
 )
-from relulab.nets import forward
+from relulab.nets import TwoLayerNet, forward
 from relulab.numerics import make_rng, quadrature_1d, sample_uniform_ball
 
 
@@ -226,7 +219,12 @@ class TestHardFamily:
         fam = self._family()
         pts = sample_uniform_ball(make_rng(12), fam.dim, 500)
         for idx in (0, 1, fam.size - 1):
-            net = member_to_net(fam, idx)
+            net = TwoLayerNet(
+                w=fam.centers,
+                b=np.full(fam.n_atoms, atom_threshold(fam.eps)),
+                v=fam.amplitude / fam.eps ** 2 * fam.code.signs[idx],
+                beta=0.0,
+            )
             np.testing.assert_allclose(
                 member_values(fam, idx, pts), forward(net, pts), rtol=1e-12, atol=1e-15
             )
@@ -237,7 +235,7 @@ class TestHardFamily:
         boundary = fam.centers  # peaks sit at the cap centers on the sphere
         for idx in (1, fam.size - 1):
             vals = member_values(fam, idx, np.vstack([pts, boundary]))
-            assert np.max(np.abs(vals)) <= sup_bound(fam) + 1e-12
+            assert np.max(np.abs(vals)) <= fam.amplitude + 1e-12
         peak = member_values(fam, 1, fam.centers)
         assert np.max(np.abs(peak)) == pytest.approx(fam.amplitude, rel=1e-12)
 
@@ -260,30 +258,9 @@ class TestHardFamily:
         se = float(sq.std(ddof=1)) / math.sqrt(sq.size) * ball_volume(fam.dim)
         assert abs(est - pairwise_sq_distances(fam)[i, j]) <= 4.0 * se
 
-    def test_min_separation_consistent_with_matrix(self):
-        fam = self._family()
-        sq = pairwise_sq_distances(fam)
-        off = sq[~np.eye(fam.size, dtype=bool)]
-        assert math.sqrt(off.min()) >= min_l2_separation(fam) - 1e-12
-
     def test_amplitude_validation(self):
         with pytest.raises(ValueError, match="amplitude"):
             build_hard_family(make_rng(0), 3, 0.25, amplitude=0.0)
-
-    def test_json_round_trip(self):
-        fam = self._family()
-        text = hard_family_to_json(fam)
-        back = hard_family_from_json(text)
-        np.testing.assert_array_equal(back.centers, fam.centers)
-        np.testing.assert_array_equal(back.code.bits, fam.code.bits)
-        assert back.eps == fam.eps
-        assert back.amplitude == fam.amplitude
-        assert back.code.min_distance == fam.code.min_distance
-        assert hard_family_to_json(back) == text
-
-    def test_json_rejects_unknown_format(self):
-        with pytest.raises(ValueError, match="format"):
-            hard_family_from_json(json.dumps({"format": "other"}))
 
 
 class TestIndistinguishability:
@@ -310,16 +287,6 @@ class TestIndistinguishability:
         est = indistinguishable_probability_mc(make_rng(22), fam, i, j, n, trials)
         se = math.sqrt(closed * (1.0 - closed) / trials)
         assert abs(est - closed) <= 4.0 * se
-
-    def test_kl_scales_linearly_in_n(self):
-        fam = build_hard_family(make_rng(23), 3, 0.3)
-        one = kl_divergence(fam, 0, 1, 1, sigma=0.5)
-        many = kl_divergence(fam, 0, 1, 7, sigma=0.5)
-        assert many == pytest.approx(7.0 * one, rel=1e-12)
-        expected = pairwise_sq_distances(fam)[0, 1] / ball_volume(3) / (2 * 0.25)
-        assert one == pytest.approx(expected, rel=1e-12)
-        with pytest.raises(ValueError, match="noise"):
-            kl_divergence(fam, 0, 1, 5, sigma=0.0)
 
 
 class TestBumps:

@@ -19,7 +19,6 @@ from relulab.harness import (
     ShatterConfig,
     SweepConfig,
     append_sweep_records,
-    apply_epoch_preset,
     cell_rng,
     config_hash,
     make_regression_dataset,
@@ -88,11 +87,6 @@ class TestEpochPresets:
             preset_epochs("appendix-A3", 0.1)
         with pytest.raises(ValueError):
             preset_epochs("appendix-A2", 0.0)
-
-    def test_apply_replaces_only_epochs(self):
-        cfg = TrainConfig(eta=0.2, epochs=7, weight_decay=0.3)
-        out = apply_epoch_preset(cfg, "appendix-A2")
-        assert out == dataclasses.replace(cfg, epochs=50000)
 
 
 class TestConfigHash:

@@ -18,7 +18,6 @@ from relulab.numerics import (
     make_rng,
     power_iteration,
     quadrature_1d,
-    sample_gaussian,
     sample_uniform_ball,
 )
 
@@ -65,20 +64,6 @@ class TestBallSampler:
     def test_invalid_arguments(self, d, count):
         with pytest.raises(ValueError):
             sample_uniform_ball(make_rng(0), d, count)
-
-
-class TestGaussianSampler:
-    def test_zero_sigma_gives_zeros(self):
-        np.testing.assert_array_equal(sample_gaussian(make_rng(0), 0.0, 10), np.zeros(10))
-
-    def test_moments(self):
-        z = sample_gaussian(make_rng(3), 2.0, 50000)
-        assert abs(z.mean()) < 0.05
-        assert abs(z.std() - 2.0) < 0.05
-
-    def test_negative_sigma_rejected(self):
-        with pytest.raises(ValueError):
-            sample_gaussian(make_rng(0), -1.0, 4)
 
 
 def _matvec(mat):

@@ -28,7 +28,6 @@ from relulab.sharpness import (
     sharpness,
     term_a_lower_bound,
 )
-from relulab.weights import EmpiricalWeight, SimplifiedUniformBall
 
 
 def _dense_from_hvp(net, data, gauss_newton_only=False):
@@ -225,25 +224,6 @@ class TestRegularityCertificate:
             assert cert.term_a_holds
             assert cert.lhs <= cert.rhs + 1e-8
             assert cert.train_loss == pytest.approx(loss(net, data))
-
-    def test_supplied_weight_must_be_empirical(self):
-        rng = make_rng(301)
-        net, data = _random_instance(rng, 2, 2, 5)
-        with pytest.raises(ValueError, match="empirical"):
-            regularity_certificate(net, data, g=SimplifiedUniformBall(d=2))
-
-    def test_supplied_weight_must_match_training_inputs(self):
-        rng = make_rng(302)
-        net, data = _random_instance(rng, 2, 2, 5)
-        other = EmpiricalWeight(points=sample_uniform_ball(rng, 2, 5))
-        with pytest.raises(ValueError, match="training inputs"):
-            regularity_certificate(net, data, g=other)
-
-    def test_matching_weight_accepted(self):
-        rng = make_rng(303)
-        net, data = _random_instance(rng, 1, 2, 4)
-        cert = regularity_certificate(net, data, g=EmpiricalWeight(points=data.inputs))
-        assert cert.holds
 
 
 def test_package_attribute_is_the_sharpness_module():

@@ -16,9 +16,7 @@ from hypothesis import strategies as st
 
 from relulab.numerics import make_rng, quadrature_1d, sample_uniform_ball
 from relulab.weights import (
-    AnalyticUniformBall,
     EmpiricalWeight,
-    SimplifiedUniformBall,
     conditional_mean_constants,
     g_analytic,
     g_empirical,
@@ -225,17 +223,6 @@ class TestEmpiricalWeight:
 
 
 class TestVariantObjects:
-    def test_simplified_object(self):
-        g = SimplifiedUniformBall(d=3)
-        assert g(np.array([0.0, 1.0, 0.0]), 0.5) == pytest.approx(0.5**5)
-
-    def test_analytic_object_caches(self):
-        g = AnalyticUniformBall(d=2)
-        u = np.array([1.0, 0.0])
-        first = g(u, 0.3)
-        assert g._cache  # populated
-        assert g(u, 0.3) == first
-
     def test_empirical_object_validates(self):
         with pytest.raises(ValueError):
             EmpiricalWeight(points=np.zeros((0, 2)))
