@@ -208,7 +208,7 @@ def _execute_sharpness(prepared, args) -> int:
     )
     write_manifest(
         out,
-        {"command": "sharpness", **cfg.as_dict()},
+        {"command": "sharpness", **cfg.as_dict(), **certificate},
         ["checkpoint.bin", "sharpness.json"],
     )
     print(

@@ -37,13 +37,12 @@ __all__ = [
 
 _DUPLICATE_ATOL = 1e-12
 
-# Rows of x per block in the forward pass, the gradient and Hessian-vector
-# kernels and the neuron statistics.  Their (ROW_BLOCK, K) float64 buffers
-# stay cache-sized at the widths used here (1 MiB each at K = 2048), where
-# whole (n, K) arrays would stream through memory, and a 10^4-point holdout
-# never holds more than one block.  It is a constant, not a setting: the
-# block size fixes the order in which the per-neuron sums accumulate, so no
-# choice of size can change a rerun's rounding.
+# Rows of x per block of the one row partition, ``_row_blocks``, shared by the
+# forward pass, the gradient and Hessian kernels and the neuron statistics.
+# A (ROW_BLOCK, K) float64 buffer stays cache-sized (1 MiB at K = 2048) where
+# whole (n, K) arrays would stream through memory.  It is a constant, not a
+# setting: the block size fixes the order in which the per-neuron sums
+# accumulate, so no choice of size can change a rerun's rounding.
 ROW_BLOCK = 64
 
 
@@ -135,30 +134,31 @@ class Dataset:
 # forward / loss / gradient
 # ---------------------------------------------------------------------------
 
-def _relu_blocks(x: np.ndarray, w: np.ndarray, b: np.ndarray):
-    """Yield ``(rows, a)`` for each block of :data:`ROW_BLOCK` rows of ``x``
-    (the last block may hold one row more), with
-    ``a = relu(x[rows] @ w.T - b)``.
-
-    Every block is written into the same buffer, so ``a`` is valid only
-    until the next block is drawn.  This is the one place the forward pass,
-    the gradient and the neuron statistics compute activations.
-    """
-    n = x.shape[0]
-    buf = np.empty((min(n, ROW_BLOCK + 1), w.shape[0]))
+def _row_blocks(n: int):
+    """The one row partition: :data:`ROW_BLOCK` rows a block, the last may hold one more."""
     start = 0
     while start < n:
         # numpy takes a one-row product through dot rather than gemv, and the
         # two round differently, so a lone last row joins the block before.
         stop = n if n - start <= ROW_BLOCK + 1 else start + ROW_BLOCK
-        rows = slice(start, stop)
-        xb = x[rows]
-        a = buf[: stop - start]
-        np.matmul(xb, w.T, out=a)
-        a -= b
-        np.maximum(a, 0.0, out=a)
-        yield rows, a
+        yield slice(start, stop)
         start = stop
+
+
+def _block_buffer(n: int, k: int) -> np.ndarray:
+    """An uninitialized (rows, k) buffer that holds any block of ``_row_blocks(n)``."""
+    return np.empty((min(n, ROW_BLOCK + 1), k))
+
+
+def _preact_blocks(x: np.ndarray, w: np.ndarray, b: np.ndarray):
+    """Yield ``(rows, z)`` with ``z = x[rows] @ w.T - b`` for each row block;
+    every ``z`` reuses one buffer, which callers may overwrite in place."""
+    buf = _block_buffer(x.shape[0], w.shape[0])
+    for rows in _row_blocks(x.shape[0]):
+        z = buf[: rows.stop - rows.start]
+        np.matmul(x[rows], w.T, out=z)
+        z -= b
+        yield rows, z
 
 
 def forward(net: TwoLayerNet, x: np.ndarray) -> np.ndarray | float:
@@ -167,9 +167,10 @@ def forward(net: TwoLayerNet, x: np.ndarray) -> np.ndarray | float:
     single = x.ndim == 1
     pts = x[None, :] if single else x
     out = np.empty(pts.shape[0])
-    for rows, a in _relu_blocks(pts, net.w, net.b):
+    for rows, z in _preact_blocks(pts, net.w, net.b):
+        np.maximum(z, 0.0, out=z)
         ob = out[rows]
-        np.matmul(a, net.v, out=ob)
+        np.matmul(z, net.v, out=ob)
         ob += net.beta
     return float(out[0]) if single else out
 
@@ -199,37 +200,45 @@ def unpack_params(theta: np.ndarray, d: int, k: int) -> TwoLayerNet:
     return TwoLayerNet(w=w.copy(), b=b.copy(), v=v.copy(), beta=float(theta[-1]))
 
 
-def _grad_flat(theta: np.ndarray, x: np.ndarray, y: np.ndarray, d: int, k: int):
-    """Gradient in flat layout plus the loss value, one forward pass.
-
-    Works through ``x`` in row blocks (see :data:`ROW_BLOCK`) so the (n, K)
-    activations are never held whole; every residual depends on its own row
-    only, and the per-neuron sums accumulate block by block.
+def _residual_pass(x, y, w, b, v, beta, z_out=None):
+    """One pass over the row blocks: residuals ``r = f(x) - y`` and the sums
+    ``col = (1/n) sum_i r_i 1_ik x_i``, ``colsum = (1/n) sum_i r_i 1_ik`` and
+    ``gv = (1/n) sum_i r_i relu(z_ik)``, accumulated block by block.  An
+    (n, K) ``z_out`` receives a copy of every block's preactivations.
     """
+    n = x.shape[0]
+    ract_buf = _block_buffer(n, w.shape[0])
+    r = np.empty(n)
+    col = np.zeros(w.shape)
+    colsum = np.zeros(w.shape[0])
+    gv = np.zeros(w.shape[0])
+    for blk, z in _preact_blocks(x, w, b):
+        if z_out is not None:
+            z_out[blk] = z
+        xb = x[blk]
+        ract = ract_buf[: xb.shape[0]]
+        # The strict 1{z > 0} derivative.
+        np.greater(z, 0.0, out=ract)
+        np.maximum(z, 0.0, out=z)
+        rb = r[blk]
+        np.matmul(z, v, out=rb)
+        rb += beta
+        rb -= y[blk]
+        rv = rb / n
+        ract *= rv[:, None]
+        col += ract.T @ xb
+        colsum += ract.sum(axis=0)
+        gv += z.T @ rv
+    return r, col, colsum, gv
+
+
+def _grad_flat(theta: np.ndarray, x: np.ndarray, y: np.ndarray, d: int, k: int):
+    """Gradient in flat layout plus the loss value, one residual pass."""
     n = x.shape[0]
     w = theta[: k * d].reshape(k, d)
     b = theta[k * d : k * d + k]
     v = theta[k * d + k : k * d + 2 * k]
-    beta = theta[-1]
-    ract_buf = np.empty((min(n, ROW_BLOCK + 1), k))
-    r = np.empty(n)
-    col = np.zeros((k, d))      # (1/n) sum_i r_i 1_ik x_i
-    colsum = np.zeros(k)        # (1/n) sum_i r_i 1_ik
-    gv = np.zeros(k)
-    for blk, a in _relu_blocks(x, w, b):
-        xb = x[blk]
-        ract = ract_buf[: xb.shape[0]]
-        rb = r[blk]
-        np.matmul(a, v, out=rb)
-        rb += beta
-        rb -= y[blk]
-        rv = rb / n
-        # a > 0 exactly where z > 0: the strict 1{z > 0} derivative.
-        np.greater(a, 0.0, out=ract)
-        ract *= rv[:, None]
-        col += ract.T @ xb
-        colsum += ract.sum(axis=0)
-        gv += a.T @ rv
+    r, col, colsum, gv = _residual_pass(x, y, w, b, v, theta[-1])
     loss_val = 0.5 * float(np.mean(r * r))
     # dL/dw_k = (1/n) sum_i r_i v_k 1_ik x_i ; dL/db_k = -(1/n) sum_i r_i v_k 1_ik
     gw = v[:, None] * col

@@ -2,12 +2,11 @@
 
 Everything stochastic in this package flows through an explicitly seeded
 :class:`numpy.random.Generator`, so any routine is reproducible from its seed
-alone.  The module also provides the two geometric samplers used throughout
-(uniform ball, centered Gaussian), a matrix-free power iteration that returns
-the largest *algebraic* eigenvalue of a symmetric operator, an adaptive
-absolute-tolerance quadrature, an ordinary least squares slope fit in
-log-log coordinates, and the finiteness check that configs and records run
-on their float fields.
+alone.  The module also provides the uniform-ball sampler used throughout, a
+matrix-free power iteration that returns the largest *algebraic* eigenvalue
+of a symmetric operator, an adaptive absolute-tolerance quadrature, an
+ordinary least squares slope fit in log-log coordinates, and the finiteness
+check that configs and records run on their float fields.
 """
 
 from __future__ import annotations

@@ -30,9 +30,11 @@ from typing import Callable
 import numpy as np
 
 from relulab.nets import (
-    ROW_BLOCK,
     Dataset,
     TwoLayerNet,
+    _block_buffer,
+    _residual_pass,
+    _row_blocks,
     forward,
     loss,
     param_count,
@@ -69,42 +71,32 @@ def make_hessian_operator(
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Return a closure computing ``H @ vec`` in the flat parameter layout.
 
-    Activations and residuals are computed once.  Each application then
-    works through the rows of ``x`` in blocks of :data:`relulab.nets.ROW_BLOCK`,
-    like the gradient kernel, with two (ROW_BLOCK, K) buffers owned by the
-    operator rather than the module, since sweep cells build operators on
-    a thread pool.
+    The build is the gradient's residual pass, which also copies the
+    preactivations into the one (n, K) float array the operator keeps (about
+    11 MiB allocated in all at n=512, K=2048).  Each application walks the
+    same row blocks with two block buffers owned by the operator, not the
+    module, since sweep cells run on a thread pool.
     """
     x = data.inputs
-    y = data.labels
     n, d = x.shape
     k = net.width
     v = net.v
 
-    z = x @ net.w.T - net.b
-    if np.any(np.abs(z) < _BOUNDARY_ATOL):
+    a = np.empty((n, k))
+    r, res_wx, res_bsum, _ = _residual_pass(x, data.labels, net.w, net.b, v, net.beta, a)
+    if np.any((a > -_BOUNDARY_ATOL) & (a < _BOUNDARY_ATOL)):
         warnings.warn(
             "preactivation within 1e-12 of the ReLU kink; using the strict "
             "1{z > 0} branch",
             ActivationBoundaryWarning,
             stacklevel=3,
         )
-    act = z > 0.0
-    a = np.where(act, z, 0.0)
-    r = a @ v + net.beta - y
-
-    if gauss_newton_only:
-        res_wx = None
-        res_bsum = None
-    else:
-        ract = r[:, None] * act
-        res_wx = ract.T @ x / n      # (K, d): (1/n) sum_i r_i 1_ik x_i
-        res_bsum = ract.sum(axis=0) / n  # (K,)
+    act = a > 0.0
+    np.maximum(a, 0.0, out=a)
 
     wd = k * d
-    rows = min(n, ROW_BLOCK)
-    core_buf = np.empty((rows, k))
-    sact_buf = np.empty((rows, k))
+    core_buf = _block_buffer(n, k)
+    sact_buf = _block_buffer(n, k)
 
     def apply(vec: np.ndarray) -> np.ndarray:
         vw = vec[:wd].reshape(k, d)
@@ -116,8 +108,7 @@ def make_hessian_operator(
         sw = np.zeros((k, d))       # sum_i s_i 1_ik x_i
         ssum = np.zeros(k)          # sum_i s_i 1_ik
         hv = np.zeros(k)
-        for start in range(0, n, ROW_BLOCK):
-            blk = slice(start, start + ROW_BLOCK)
+        for blk in _row_blocks(n):
             xb = x[blk]
             actb = act[blk]
             ab = a[blk]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from relulab.nets import TwoLayerNet, _relu_blocks
+from relulab.nets import TwoLayerNet, _preact_blocks
 
 __all__ = [
     "NeuronStats",
@@ -67,8 +67,8 @@ def neuron_stats(net: TwoLayerNet, inputs: np.ndarray) -> NeuronStats:
         raise ValueError(f"inputs must be (n, {net.input_dim}) non-empty, got {x.shape}")
     # Exact integer counts, so the fractions do not depend on the blocking.
     active = np.zeros(net.width, dtype=np.int64)
-    for _, a in _relu_blocks(x, net.w, net.b):
-        active += np.count_nonzero(a > 0.0, axis=0)
+    for _, z in _preact_blocks(x, net.w, net.b):
+        active += np.count_nonzero(z > 0.0, axis=0)
     fraction = active / x.shape[0]
     norms = np.linalg.norm(net.w, axis=1)
     magnitude = np.abs(net.v) * norms

@@ -215,6 +215,18 @@ class TestSharpnessCommand:
         assert payload["certificate"]["term_a_holds"] is True
         assert payload["sharpness"] == payload["certificate"]["lambda_max"]
 
+    def test_manifest_config_records_the_certificate_settings(self, tmp_path):
+        manifests = []
+        for rel_tol in (1e-10, 1e-3):
+            cfg = _write_config(tmp_path, {**TINY_TRAIN, "certificate_rel_tol": rel_tol})
+            out = tmp_path / f"sharp-{rel_tol}"
+            assert main(["sharpness", "--config", cfg, "--out", str(out)]) == 0
+            manifests.append(json.loads((out / "manifest.json").read_text()))
+        first, second = manifests
+        assert first["config_sha256"] != second["config_sha256"]
+        assert first["config"]["certificate_rel_tol"] == 1e-10
+        assert first["config"]["certificate_max_iters"] == 20000
+
 
 class TestVgnormCommand:
     def test_code_audit(self, tmp_path):

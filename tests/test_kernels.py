@@ -94,7 +94,7 @@ def _assert_close(got, ref):
     assert np.max(np.abs(got - ref)) <= REL_TOL * np.max(np.abs(ref))
 
 
-SIZES = [1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 2]
+SIZES = [1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1, 2 * ROW_BLOCK + 2]
 
 
 @pytest.mark.parametrize("n", SIZES + [10000])
@@ -172,3 +172,21 @@ def test_holdout_forward_allocates_a_block_not_whole_activations():
     finally:
         tracemalloc.stop()
     assert (peak - base) / 2**20 <= 4.0
+
+
+def test_hessian_operator_build_keeps_one_activation_array():
+    # At the shattering shape the operator keeps the (n, K) float64
+    # activations (8 MiB) and their boolean mask (1 MiB) plus block buffers;
+    # the whole-array build held several (n, K) arrays at once (27 MiB).
+    d, n, k = 10, 512, 2048
+    net, data, _ = _instance(n, d=d, k=k)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ActivationBoundaryWarning)
+            make_hessian_operator(net, data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - base) / 2**20 <= 14.0

@@ -170,14 +170,19 @@ class TestSharpnessValues:
         slack = 2.0 * 2.0 * math.sqrt(2.0 * loss(net, data))
         assert gn <= full + slack + 1e-8
 
-    def test_boundary_preactivation_warns(self):
-        net = TwoLayerNet(w=[[1.0]], b=[0.5], v=[1.0], beta=0.0)
+    # z = 0.5 - b is 0, -5e-13 and +5e-13 here and +0.3, -0.3 below: the check
+    # reads preactivations, so a point just on the inactive side warns and a
+    # point well inside it, where the ReLU is also 0, does not.
+    @pytest.mark.parametrize("b", [0.5, 0.5 + 5e-13, 0.5 - 5e-13])
+    def test_boundary_preactivation_warns(self, b):
+        net = TwoLayerNet(w=[[1.0]], b=[b], v=[1.0], beta=0.0)
         data = Dataset(inputs=[[0.5]], labels=[0.0])
         with pytest.warns(ActivationBoundaryWarning):
             hessian_vector_product(net, data, np.zeros(param_count(1, 1)))
 
-    def test_interior_preactivation_does_not_warn(self):
-        net = TwoLayerNet(w=[[1.0]], b=[0.2], v=[1.0], beta=0.0)
+    @pytest.mark.parametrize("b", [0.2, 0.8])
+    def test_interior_preactivation_does_not_warn(self, b):
+        net = TwoLayerNet(w=[[1.0]], b=[b], v=[1.0], beta=0.0)
         data = Dataset(inputs=[[0.5]], labels=[0.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
