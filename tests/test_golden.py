@@ -1,4 +1,4 @@
-"""Golden artifact hashes of three small CLI runs.
+"""Golden artifact hashes of four small CLI runs.
 
 A change that claims to leave the numbers alone must reproduce these bytes.
 A change that moves floats on purpose (a reordered reduction, say) says so in
@@ -34,9 +34,18 @@ RUNS = {
     ),
     "train": ("train", 3, {"d": 2, "n": 16, "train": {"eta": 0.1, "epochs": 100, "sharpness_every": 25}}),
     "shatter": ("shatter", 1, {"d": 3, "n": 100, "width": 200, "epochs": 200}),
+    # The hardfn-verify config of tests/test_cli.py.
+    "hardfn": (
+        "hardfn-verify",
+        1,
+        {"d": 3, "eps": 0.2, "n_atoms": 8, "n_obs": 20, "mc_trials": 2000, "l2_samples": 40000},
+    ),
 }
 
 GOLDEN = {
+    "hardfn": {
+        "hardfn.json": "204310ffc3814947feac3056d782a0d877b43bce90828023fa019d34e197b774",
+    },
     "sweep": {
         "failures.csv": "7b39adae08a041715d2472e4b2fa7599e95c4b822f674b009ef298910f211dac",
         "slopes.json": "a1c33b0c5bc767aec43bff3ffc76b68b7ca4a48b0ed9c538076ebed49f7e1cc0",
