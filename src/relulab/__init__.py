@@ -20,13 +20,11 @@ from relulab.harness import (
     run_single_cell,
 )
 from relulab.hardfn import (
-    BumpFamily,
     CapPacking,
     HardFamily,
     SignFamily,
     atom_l2_norm,
     build_hard_family,
-    bump_family,
     pack_caps,
     varshamov_gilbert,
 )
@@ -45,12 +43,10 @@ from relulab.nets import (
 )
 from relulab.numerics import (
     PowerIterationResult,
-    QuadratureError,
     derive_rng,
     loglog_slope,
     make_rng,
     power_iteration,
-    quadrature_1d,
     sample_uniform_ball,
 )
 from relulab.rates import compare_slopes, exponent_table, predicted_exponent

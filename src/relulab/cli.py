@@ -261,8 +261,21 @@ def _prepare_hardfn(raw: dict, args):
         "l2_samples": 200000,
     }
     merged = _merge(defaults, raw, "config")
-    if len(merged["pair"]) != 2:
-        raise ConfigError("pair must hold exactly two member indices")
+    # type() rather than isinstance(): a JSON true is not a count.
+    for key, low in (("d", 2), ("n_obs", 0), ("mc_trials", 1), ("l2_samples", 1)):
+        if not (type(merged[key]) is int and merged[key] >= low):
+            raise ConfigError(f"{key} must be an integer >= {low}, got {merged[key]!r}")
+    n_atoms = merged["n_atoms"]
+    if n_atoms is not None and not (type(n_atoms) is int and n_atoms >= 8):
+        raise ConfigError(f"n_atoms must be null or an integer >= 8, got {n_atoms!r}")
+    if not 0.0 < merged["eps"] < 1.0:
+        raise ConfigError(f"eps must be in (0, 1), got {merged['eps']!r}")
+    if not 0.0 < merged["amplitude"] < math.inf:
+        raise ConfigError(f"amplitude must be finite and > 0, got {merged['amplitude']!r}")
+    pair = merged["pair"]
+    if not (isinstance(pair, list) and len(pair) == 2
+            and all(type(k) is int and k >= 0 for k in pair)):
+        raise ConfigError(f"pair must hold two non-negative integer indices, got {pair!r}")
     return merged
 
 

@@ -9,31 +9,25 @@ binary code with guaranteed minimum Hamming distance then turns the atom
 set into an exponentially large family whose members are pairwise well
 separated in L2 yet tiny in sup norm and in weighted variation, which is
 the engine behind the dimension-cursed lower bounds.
-
-The univariate analogue at the end uses smooth bumps crowded against the
-edge of the interval instead of caps; it plays the same role in d = 1
-where directions cannot be packed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import beta as beta_fn
 from scipy.special import gamma as gamma_fn
 
-from relulab.numerics import make_rng, quadrature_1d, sample_uniform_ball
-from relulab.weights import g_simplified, tail_probability
+from relulab.numerics import make_rng, sample_uniform_ball
+from relulab.weights import cap_moment, tail_probability
 
 __all__ = [
     "atom_threshold",
     "relu_atom",
     "atom_l2_norm",
     "atom_l2_constants",
-    "atom_weighted_variation",
     "CapPacking",
     "pack_caps",
     "SignFamily",
@@ -41,25 +35,11 @@ __all__ = [
     "HardFamily",
     "build_hard_family",
     "member_values",
-    "weighted_variation_upper",
     "pairwise_sq_distances",
     "indistinguishable_probability",
     "indistinguishable_probability_mc",
     "ball_volume",
-    "bump_curvature_mass",
-    "bump_curvature_mass_closed_form",
-    "bump_normalizer",
-    "bump_value",
-    "bump_l2_constant",
-    "BumpFamily",
-    "bump_family",
-    "bump_member_value",
-    "bump_tv2",
-    "bump_member_l2",
-    "bump_weighted_variation_upper",
 ]
-
-BUMP_INFLECTION = 3.0 ** -0.25  # where (d^2/dy^2) exp(-1/(1-y^2)) changes sign
 
 
 def _check_eps(eps: float) -> float:
@@ -75,7 +55,8 @@ def atom_threshold(eps: float) -> float:
 
 
 def relu_atom(points: np.ndarray, u: np.ndarray, eps: float) -> np.ndarray:
-    """Evaluate ``relu(u . x - (1 - eps^2))`` at each row of ``points``."""
+    """Evaluate ``relu(u . x - (1 - eps^2))`` at each row of ``points``;
+    a (d, K) ``u`` of K directions as columns gives one column per atom."""
     tau = atom_threshold(eps)
     u = np.asarray(u, dtype=float)
     return np.maximum(np.asarray(points, dtype=float) @ u - tau, 0.0)
@@ -91,7 +72,7 @@ def _slice_volume_constant(d: int) -> float:
     return math.pi ** ((d - 1) / 2) / gamma_fn((d + 1) / 2)
 
 
-def atom_l2_norm(d: int, eps: float, normalized: bool = False, tol: float = 1e-12) -> float:
+def atom_l2_norm(d: int, eps: float, normalized: bool = False) -> float:
     """Lebesgue L2 norm of one atom over the unit ball.
 
     Slicing perpendicular to ``u`` at height s = 1 - delta reduces the
@@ -99,20 +80,14 @@ def atom_l2_norm(d: int, eps: float, normalized: bool = False, tol: float = 1e-1
 
         I = V_{d-1} * int_0^{eps^2} (eps^2 - delta)^2 (delta (2 - delta))^((d-1)/2) d delta
 
-    and the norm is sqrt(I).  With ``normalized`` the atom is rescaled by
-    eps^{-2} so its peak value is 1.
+    = V_{d-1} * cap_moment(d, 2, eps^2), and the norm is sqrt(I).  With
+    ``normalized`` the atom is rescaled by eps^{-2} so its peak value is 1.
     """
     eps = _check_eps(eps)
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     e2 = eps * eps
-    power = (d - 1) / 2.0
-
-    def integrand(delta):
-        return (e2 - delta) ** 2 * (delta * (2.0 - delta)) ** power
-
-    value = _slice_volume_constant(d) * quadrature_1d(integrand, 0.0, e2, tol * e2 ** 3)
-    norm = math.sqrt(value)
+    norm = math.sqrt(_slice_volume_constant(d) * cap_moment(d, 2, e2))
     return norm / e2 if normalized else norm
 
 
@@ -130,15 +105,6 @@ def atom_l2_constants(d: int) -> tuple[float, float]:
     lo = math.sqrt(v * (7.0 / 4.0) ** ((d - 1) / 2.0) * j)
     hi = math.sqrt(v * 2.0 ** ((d - 1) / 2.0) * j)
     return lo, hi
-
-
-def atom_weighted_variation(d: int, eps: float, normalized: bool = False) -> float:
-    """Weighted second variation of one atom under the closed-form weight
-    (1 - |t|)^(d+2): the atom is a single ridge kink at offset 1 - eps^2,
-    so this is just its coefficient times eps^(2d+4)."""
-    eps = _check_eps(eps)
-    coeff = eps ** -2 if normalized else 1.0
-    return coeff * g_simplified(d, atom_threshold(eps))
 
 
 # ---------------------------------------------------------------------------
@@ -351,17 +317,10 @@ def build_hard_family(
 
 def member_values(family: HardFamily, index: int, points: np.ndarray) -> np.ndarray:
     """Evaluate family member ``index`` at each row of ``points``."""
-    tau = atom_threshold(family.eps)
     x = np.atleast_2d(np.asarray(points, dtype=float))
-    acts = np.maximum(x @ family.centers.T - tau, 0.0)
+    acts = relu_atom(x, family.centers.T, family.eps)
     scale = family.amplitude / family.eps ** 2
     return scale * (acts @ family.code.signs[index])
-
-
-def weighted_variation_upper(family: HardFamily) -> float:
-    """Every member's weighted variation is at most
-    K * amplitude * eps^(2d+2) under the closed-form weight."""
-    return family.n_atoms * family.amplitude * family.eps ** (2 * family.dim + 2)
 
 
 def pairwise_sq_distances(family: HardFamily) -> np.ndarray:
@@ -418,113 +377,3 @@ def indistinguishable_probability_mc(
         misses += int(np.sum(~hit))
         done += m
     return misses / trials
-
-
-# ---------------------------------------------------------------------------
-# univariate bump family
-# ---------------------------------------------------------------------------
-
-def _bump_raw(y: np.ndarray) -> np.ndarray:
-    """exp(-1/(1 - y^2)) on (-1, 1), hard zero outside and within 1e-12 of
-    the endpoints (where the exponential underflows anyway)."""
-    y = np.asarray(y, dtype=float)
-    s = 1.0 - y * y
-    out = np.zeros_like(s)
-    safe = s > 1e-12
-    out[safe] = np.exp(-1.0 / s[safe])
-    return out
-
-
-def _bump_raw_second_derivative_abs(y: float) -> float:
-    s = 1.0 - y * y
-    if s <= 1e-12:
-        return 0.0
-    return abs((6.0 * y ** 4 - 2.0) / s ** 4) * math.exp(-1.0 / s)
-
-
-@lru_cache(maxsize=1)
-def bump_curvature_mass() -> float:
-    """Total curvature of the raw bump, int |d^2/dy^2 exp(-1/(1-y^2))| dy,
-    integrated piecewise around the inflection points at +-3^(-1/4)."""
-    x = BUMP_INFLECTION
-    inner = quadrature_1d(_bump_raw_second_derivative_abs, 0.0, x, 1e-9)
-    outer = quadrature_1d(_bump_raw_second_derivative_abs, x, 1.0, 1e-9)
-    return 2.0 * (inner + outer)
-
-
-def bump_curvature_mass_closed_form() -> float:
-    """The same mass by telescoping the piecewise-signed integral: the first
-    derivative vanishes at 0 and the endpoints, so the total is
-    -4 Phi'(x*) at the inflection point x* = 3^(-1/4)."""
-    x = BUMP_INFLECTION
-    s = 1.0 - x * x
-    deriv = -2.0 * x / s ** 2 * math.exp(-1.0 / s)
-    return -4.0 * deriv
-
-
-@lru_cache(maxsize=1)
-def bump_normalizer() -> float:
-    """c with int |(c Phi_0)''| = 1."""
-    return 1.0 / bump_curvature_mass()
-
-
-def bump_value(y) -> np.ndarray:
-    """The curvature-normalized bump c exp(-1/(1-y^2))."""
-    return bump_normalizer() * _bump_raw(y)
-
-
-@lru_cache(maxsize=1)
-def bump_l2_constant() -> float:
-    """D = ||c Phi_0||_{L2(-1,1)} / sqrt(2); a bump squeezed into an interval
-    of length L has L2 norm sqrt(L) D."""
-    sq = quadrature_1d(lambda y: float(bump_value(y)) ** 2, -1.0, 1.0, 1e-12)
-    return math.sqrt(sq / 2.0)
-
-
-@dataclass(frozen=True)
-class BumpFamily:
-    """floor(1/eps) disjoint bumps on intervals of length eps^2 packed into
-    [1 - eps, 1]."""
-
-    eps: float
-    starts: np.ndarray
-
-    @property
-    def count(self) -> int:
-        return self.starts.size
-
-    @property
-    def width(self) -> float:
-        return self.eps ** 2
-
-
-def bump_family(eps: float) -> BumpFamily:
-    eps = _check_eps(eps)
-    count = int(math.floor(1.0 / eps))
-    starts = 1.0 - eps + eps ** 2 * np.arange(count)
-    return BumpFamily(eps=eps, starts=starts)
-
-
-def bump_member_value(family: BumpFamily, k: int, y) -> np.ndarray:
-    """Bump k rescaled onto [starts[k], starts[k] + eps^2]."""
-    a = family.starts[k]
-    h = family.width
-    return bump_value((2.0 * (np.asarray(y, dtype=float) - a) - h) / h)
-
-
-def bump_tv2(family: BumpFamily) -> float:
-    """Total curvature of one member: squeezing onto length L multiplies the
-    curvature mass by 2/L, and the normalized mass is 1."""
-    return 2.0 / family.width
-
-
-def bump_member_l2(family: BumpFamily) -> float:
-    """Exact L2 norm of one member: sqrt(eps^2) D = eps D."""
-    return family.eps * bump_l2_constant()
-
-
-def bump_weighted_variation_upper(family: BumpFamily) -> float:
-    """Weighted curvature under (1 - |t|)^3: the support sits within eps of
-    the endpoint, so the weight is at most eps^3 and the total is at most
-    eps^3 * 2 / eps^2 = 2 eps."""
-    return 2.0 * family.eps

@@ -4,9 +4,9 @@ Everything stochastic in this package flows through an explicitly seeded
 :class:`numpy.random.Generator`, so any routine is reproducible from its seed
 alone.  The module also provides the uniform-ball sampler used throughout, a
 matrix-free power iteration that returns the largest *algebraic* eigenvalue
-of a symmetric operator, an adaptive absolute-tolerance quadrature, an
-ordinary least squares slope fit in log-log coordinates, and the finiteness
-check that configs and records run on their float fields.
+of a symmetric operator, an ordinary least squares slope fit in log-log
+coordinates, and the finiteness check that configs and records run on their
+float fields.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
 
 __all__ = [
     "make_rng",
@@ -25,8 +24,6 @@ __all__ = [
     "sample_uniform_ball",
     "PowerIterationResult",
     "power_iteration",
-    "QuadratureError",
-    "quadrature_1d",
     "loglog_slope",
     "check_finite_fields",
 ]
@@ -184,67 +181,6 @@ def power_iteration(
             return PowerIterationResult(value=lam, vector=v, converged=True, iterations=it)
         v = w / nw
     return PowerIterationResult(value=lam, vector=v, converged=False, iterations=max_iters)
-
-
-# ---------------------------------------------------------------------------
-# quadrature
-# ---------------------------------------------------------------------------
-
-class QuadratureError(RuntimeError):
-    """Raised when an integrand evaluates to a non-finite value or the
-    requested tolerance cannot be met."""
-
-
-_MAX_BISECTIONS = 40
-
-
-def quadrature_1d(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    target_tol: float = 1e-10,
-) -> float:
-    """Adaptive quadrature of ``f`` on ``[a, b]`` to absolute error ``target_tol``.
-
-    Runs adaptive Gauss-Kronrod panels on the interval and recursively bisects
-    any interval whose reported error estimate exceeds its share of the
-    budget.  Non-finite integrand values raise :class:`QuadratureError`.
-    """
-    a = float(a)
-    b = float(b)
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError("integration bounds must be finite")
-    if b < a:
-        raise ValueError(f"required a <= b, got a={a}, b={b}")
-    if target_tol <= 0.0:
-        raise ValueError(f"target_tol must be positive, got {target_tol}")
-    if a == b:
-        return 0.0
-
-    def checked(x: float) -> float:
-        y = f(x)
-        if not math.isfinite(y):
-            raise QuadratureError(f"integrand returned non-finite value {y!r} at x={x!r}")
-        return y
-
-    return _quad_recursive(checked, a, b, target_tol, depth=0)
-
-
-def _quad_recursive(f, a: float, b: float, tol: float, depth: int) -> float:
-    with np.errstate(all="ignore"):
-        value, err_est = integrate.quad(
-            f, a, b, epsabs=tol, epsrel=1.5e-14, limit=200, full_output=0
-        )
-    if err_est <= tol:
-        return float(value)
-    if depth >= _MAX_BISECTIONS:
-        raise QuadratureError(
-            f"could not reach absolute tolerance {tol} on [{a}, {b}] "
-            f"(last error estimate {err_est})"
-        )
-    mid = 0.5 * (a + b)
-    half = 0.5 * tol
-    return _quad_recursive(f, a, mid, half, depth + 1) + _quad_recursive(f, mid, b, half, depth + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,9 @@ with ``U = X . u``, and the weight itself symmetrizes the two orientations,
   that an empty conditioning event gives 0.
 
 The module also exposes the marginal density of a single coordinate, its tail
-probability (exact through the regularized incomplete Beta function), and the
-constant sandwiches used to certify the ``(1 - t)^(d+2)`` decay on [3/4, 1).
+probability (exact through the regularized incomplete Beta function), the cap
+moment behind the conditional gap and the cap atom's L2 norm, and the constant
+sandwiches used to certify the ``(1 - t)^(d+2)`` decay on [3/4, 1).
 """
 
 from __future__ import annotations
@@ -30,12 +31,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from relulab.numerics import quadrature_1d
-
 __all__ = [
     "marginal_pdf_constant",
     "marginal_pdf",
     "tail_probability",
+    "cap_moment",
     "tail_sandwich_constants",
     "conditional_mean_constants",
     "tilde_g_sandwich_constants",
@@ -76,8 +76,9 @@ def tail_probability(d: int, x: float) -> float:
     """Q(x) = P(X1 > x) = integral of the marginal density over (x, 1].
 
     Evaluated in closed form: for x in [0, 1], Q(x) is half the regularized
-    incomplete Beta function I_{1-x^2}((d+1)/2, 1/2); the negative side follows
-    by symmetry.  For d = 1 this reduces to (1 - x)/2.
+    incomplete Beta function I_{1-x^2}((d+1)/2, 1/2), with 1 - x^2 formed as
+    (1 - x)(1 + x) to keep relative accuracy near x = 1; the negative side
+    follows by symmetry.  For d = 1 this reduces to (1 - x)/2.
     """
     d = _check_dim(d)
     x = float(x)
@@ -85,9 +86,20 @@ def tail_probability(d: int, x: float) -> float:
         return 0.0
     if x <= -1.0:
         return 1.0
-    if x >= 0.0:
-        return 0.5 * float(special.betainc((d + 1) / 2.0, 0.5, 1.0 - x * x))
-    return 1.0 - 0.5 * float(special.betainc((d + 1) / 2.0, 0.5, 1.0 - x * x))
+    half = 0.5 * float(special.betainc((d + 1) / 2.0, 0.5, (1.0 - x) * (1.0 + x)))
+    return half if x >= 0.0 else 1.0 - half
+
+
+def cap_moment(d: int, j: int, a: float) -> float:
+    """int_0^a (a - delta)^j (delta (2 - delta))^p d delta with p = (d - 1)/2, 0 <= a <= 2.
+
+    Euler's integral (DLMF 15.6.1) gives a^(p+j+1) 2^p B(p+1, j+1)
+    2F1(-p, p+1; p+j+2; a/2), which keeps relative accuracy for small caps.
+    """
+    d = _check_dim(d)
+    p = (d - 1) / 2.0
+    coeff = a ** (p + j + 1) * 2.0 ** p * special.beta(p + 1.0, j + 1.0)
+    return float(coeff * special.hyp2f1(-p, p + 1.0, p + j + 2.0, 0.5 * a))
 
 
 # ---------------------------------------------------------------------------
@@ -132,44 +144,35 @@ def tilde_g_sandwich_constants(d: int) -> tuple[float, float]:
 # analytic weight for the uniform ball
 # ---------------------------------------------------------------------------
 
-def tilde_g_analytic(d: int, t: float, quadrature_tol: float = 1e-10) -> float:
+def tilde_g_analytic(d: int, t: float) -> float:
     """One-sided factor for the uniform ball, reduced to the first coordinate.
 
     By rotational symmetry ``E[X | X.u > t] = E[X1 | X1 > t] u``, so the
     vector norm in the definition is the scalar conditional mean.  The tail
-    mass comes from the exact closed form; the two conditional moments are
-    quadratures of the marginal density, with absolute tolerances scaled by
-    the tail mass so the result keeps relative accuracy deep in the tail.
+    mass Q, the partial mean c1 (1 - t^2)^((d+1)/2) / (d+1) and the partial
+    gap c1 cap_moment(d, 1, 1 - t) are closed forms; the gap keeps relative
+    accuracy deep in the tail, where mean - t Q would cancel.
     """
     d = _check_dim(d)
     t = float(t)
     if t >= 1.0:
         return 0.0
+    if t <= -1.0:
+        return -t  # the whole ball: Q = 1, mean 0, gap -t
     q = tail_probability(d, t)
     if q <= 0.0:
         return 0.0
-    lo = max(t, -1.0)
-    gap_scale = max(q * (1.0 - lo), 1e-280)
-    mean_scale = max(q, 1e-280)
-    gap_num = quadrature_1d(
-        lambda s: (s - t) * marginal_pdf(d, s), lo, 1.0, quadrature_tol * gap_scale
-    )
-    mean_num = quadrature_1d(
-        lambda s: s * marginal_pdf(d, s), lo, 1.0, quadrature_tol * mean_scale
-    )
-    cond_gap = gap_num / q
-    cond_mean = mean_num / q
+    c1 = marginal_pdf_constant(d)
+    cond_mean = c1 * ((1.0 - t) * (1.0 + t)) ** ((d + 1) / 2.0) / (d + 1) / q
+    cond_gap = c1 * cap_moment(d, 1, 1.0 - t) / q
     return q * q * cond_gap * math.sqrt(1.0 + cond_mean * cond_mean)
 
 
-def g_analytic(d: int, t: float, quadrature_tol: float = 1e-10) -> float:
+def g_analytic(d: int, t: float) -> float:
     """min of the two orientations; vanishes for |t| >= 1."""
     if abs(t) >= 1.0:
         return 0.0
-    return min(
-        tilde_g_analytic(d, t, quadrature_tol),
-        tilde_g_analytic(d, -t, quadrature_tol),
-    )
+    return min(tilde_g_analytic(d, t), tilde_g_analytic(d, -t))
 
 
 def g_simplified(d: int, t: float) -> float:

@@ -56,6 +56,22 @@ class TestExitCodes:
             ("sharpness", {**TINY_TRAIN, "certificate_rel_tol": -1}),
             ("sharpness", {**TINY_TRAIN, "certificate_rel_tol": float("nan")}),
             ("sharpness", {**TINY_TRAIN, "certificate_max_iters": 0}),
+            ("hardfn-verify", {"d": 1}),
+            ("hardfn-verify", {"d": 2.5}),
+            ("hardfn-verify", {"d": True}),
+            ("hardfn-verify", {"eps": 0.0}),
+            ("hardfn-verify", {"eps": 1.0}),
+            ("hardfn-verify", {"eps": float("nan")}),
+            ("hardfn-verify", {"amplitude": 0.0}),
+            ("hardfn-verify", {"amplitude": float("inf")}),
+            ("hardfn-verify", {"amplitude": float("nan")}),
+            ("hardfn-verify", {"n_atoms": 4}),
+            ("hardfn-verify", {"n_obs": -1}),
+            ("hardfn-verify", {"mc_trials": 0}),
+            ("hardfn-verify", {"l2_samples": 0}),
+            ("hardfn-verify", {"pair": [0]}),
+            ("hardfn-verify", {"pair": [0, -1]}),
+            ("hardfn-verify", {"pair": [0, 1.5]}),
         ],
     )
     def test_bad_values_rejected_before_the_run(self, command, raw, tmp_path):

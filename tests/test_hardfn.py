@@ -1,4 +1,4 @@
-"""Tests for the separated-cap family and the univariate bump family."""
+"""Tests for the separated-cap family."""
 
 import math
 
@@ -7,26 +7,14 @@ import pytest
 from scipy.special import beta as beta_fn
 
 from relulab.hardfn import (
-    BumpFamily,
     CapPacking,
     HardFamily,
     SignFamily,
     atom_l2_constants,
     atom_l2_norm,
     atom_threshold,
-    atom_weighted_variation,
     ball_volume,
     build_hard_family,
-    bump_curvature_mass,
-    bump_curvature_mass_closed_form,
-    bump_family,
-    bump_l2_constant,
-    bump_member_l2,
-    bump_member_value,
-    bump_normalizer,
-    bump_tv2,
-    bump_value,
-    bump_weighted_variation_upper,
     indistinguishable_probability,
     indistinguishable_probability_mc,
     member_values,
@@ -34,10 +22,9 @@ from relulab.hardfn import (
     pairwise_sq_distances,
     relu_atom,
     varshamov_gilbert,
-    weighted_variation_upper,
 )
 from relulab.nets import TwoLayerNet, forward
-from relulab.numerics import make_rng, quadrature_1d, sample_uniform_ball
+from relulab.numerics import make_rng, sample_uniform_ball
 
 
 class TestAtomGeometry:
@@ -93,13 +80,6 @@ class TestAtomGeometry:
     def test_normalized_rescales_by_eps_squared(self):
         assert atom_l2_norm(3, 0.2, normalized=True) == pytest.approx(
             atom_l2_norm(3, 0.2) / 0.04, rel=1e-14
-        )
-
-    def test_weighted_variation_values(self):
-        # Closed-form weight at the kink: (1 - (1 - eps^2))^(d+2) = eps^(2d+4).
-        assert atom_weighted_variation(2, 0.5) == pytest.approx(0.5 ** 8, rel=1e-12)
-        assert atom_weighted_variation(2, 0.5, normalized=True) == pytest.approx(
-            0.5 ** 6, rel=1e-12
         )
 
     def test_eps_validation(self):
@@ -239,15 +219,6 @@ class TestHardFamily:
         peak = member_values(fam, 1, fam.centers)
         assert np.max(np.abs(peak)) == pytest.approx(fam.amplitude, rel=1e-12)
 
-    def test_weighted_variation_upper_value(self):
-        fam = self._family()
-        expected = fam.n_atoms * fam.amplitude * fam.eps ** (2 * fam.dim + 2)
-        assert weighted_variation_upper(fam) == pytest.approx(expected, rel=1e-15)
-        per_atom = atom_weighted_variation(fam.dim, fam.eps, normalized=True)
-        assert weighted_variation_upper(fam) == pytest.approx(
-            fam.n_atoms * fam.amplitude * per_atom, rel=1e-12
-        )
-
     def test_pairwise_distance_closed_form_against_monte_carlo(self):
         fam = self._family(eps=0.3)
         i, j = 0, 1
@@ -287,80 +258,3 @@ class TestIndistinguishability:
         est = indistinguishable_probability_mc(make_rng(22), fam, i, j, n, trials)
         se = math.sqrt(closed * (1.0 - closed) / trials)
         assert abs(est - closed) <= 4.0 * se
-
-
-class TestBumps:
-    def test_curvature_mass_matches_closed_form(self):
-        assert bump_curvature_mass() == pytest.approx(
-            bump_curvature_mass_closed_form(), rel=1e-9
-        )
-        assert bump_curvature_mass() == pytest.approx(3.193, rel=1e-3)
-
-    def test_normalizer_inverts_mass(self):
-        assert bump_normalizer() * bump_curvature_mass() == 1.0
-
-    def test_bump_vanishes_at_and_beyond_endpoints(self):
-        np.testing.assert_array_equal(bump_value(np.array([-1.0, 1.0, 1.5])), 0.0)
-        # The guard must not produce NaN from 0 * inf near the edge.
-        vals = bump_value(np.array([1.0 - 1e-14, -1.0 + 1e-14]))
-        assert np.all(np.isfinite(vals))
-
-    def test_bump_peak_at_origin(self):
-        assert float(bump_value(0.0)) == pytest.approx(
-            bump_normalizer() * math.exp(-1.0), rel=1e-14
-        )
-
-    def test_family_layout(self):
-        fam = bump_family(0.1)
-        assert isinstance(fam, BumpFamily)
-        assert fam.count == 10
-        assert fam.width == pytest.approx(0.01)
-        assert fam.starts[0] == pytest.approx(0.9)
-        assert fam.starts[-1] + fam.width <= 1.0 + 1e-12
-
-    def test_members_are_disjoint(self):
-        fam = bump_family(0.2)
-        grid = np.linspace(0.75, 1.0, 2001)
-        stack = np.vstack([bump_member_value(fam, k, grid) for k in range(fam.count)])
-        assert np.all((stack > 0.0).sum(axis=0) <= 1)
-
-    def test_member_l2_matches_quadrature(self):
-        fam = bump_family(0.2)
-        a = fam.starts[1]
-        b = a + fam.width
-        sq = quadrature_1d(lambda y: float(bump_member_value(fam, 1, y)) ** 2, a, b, 1e-14)
-        assert math.sqrt(sq) == pytest.approx(bump_member_l2(fam), rel=1e-7)
-        assert bump_member_l2(fam) == pytest.approx(0.2 * bump_l2_constant(), rel=1e-14)
-
-    def test_curvature_and_weighted_variation_scaling(self):
-        fam = bump_family(0.25)
-        assert bump_tv2(fam) == pytest.approx(2.0 / 0.0625, rel=1e-14)
-        assert bump_weighted_variation_upper(fam) == pytest.approx(0.5, rel=1e-14)
-
-    def test_member_curvature_mass_by_quadrature(self):
-        # Squeezing onto an interval of length L scales int |f''| by 2/L.
-        fam = bump_family(0.5)
-        a = fam.starts[0]
-        h = fam.width
-        mid = a + h / 2.0
-        scale = 2.0 / h
-
-        def second_abs(y):
-            t = (2.0 * (y - a) - h) / h
-            s = 1.0 - t * t
-            if s <= 1e-12:
-                return 0.0
-            raw = abs((6.0 * t ** 4 - 2.0) / s ** 4) * math.exp(-1.0 / s)
-            return bump_normalizer() * raw * scale ** 2
-
-        from relulab.hardfn import BUMP_INFLECTION
-
-        pieces = []
-        for lo, hi in [
-            (a, mid - BUMP_INFLECTION * h / 2.0),
-            (mid - BUMP_INFLECTION * h / 2.0, mid),
-            (mid, mid + BUMP_INFLECTION * h / 2.0),
-            (mid + BUMP_INFLECTION * h / 2.0, a + h),
-        ]:
-            pieces.append(quadrature_1d(second_abs, lo, hi, 1e-10))
-        assert sum(pieces) == pytest.approx(bump_tv2(fam), rel=1e-8)

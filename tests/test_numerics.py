@@ -12,12 +12,10 @@ from hypothesis import strategies as st
 
 from relulab.numerics import (
     PowerIterationResult,
-    QuadratureError,
     derive_rng,
     loglog_slope,
     make_rng,
     power_iteration,
-    quadrature_1d,
     sample_uniform_ball,
 )
 
@@ -124,37 +122,6 @@ class TestPowerIteration:
             power_iteration(_matvec(np.eye(2)), 2, rel_tol=0.0)
         with pytest.raises(ValueError):
             power_iteration(_matvec(np.eye(2)), 2, max_iters=0)
-
-
-class TestQuadrature:
-    def test_polynomial(self):
-        # int_0^1 x^2 dx = 1/3
-        assert quadrature_1d(lambda x: x * x, 0.0, 1.0, 1e-12) == pytest.approx(1.0 / 3.0, abs=1e-12)
-
-    def test_semicircle_mass(self):
-        # int_{-1}^{1} sqrt(1 - t^2) dt = pi/2 (Beta closed form, exponent 1/2)
-        val = quadrature_1d(lambda t: math.sqrt(max(1.0 - t * t, 0.0)), -1.0, 1.0, 1e-10)
-        assert val == pytest.approx(math.pi / 2.0, abs=1e-10)
-
-    def test_parabolic_mass(self):
-        # int_{-1}^{1} (1 - t^2) dt = 4/3 (Beta closed form, exponent 1)
-        val = quadrature_1d(lambda t: 1.0 - t * t, -1.0, 1.0, 1e-12)
-        assert val == pytest.approx(4.0 / 3.0, abs=1e-12)
-
-    def test_kink_is_fine(self):
-        val = quadrature_1d(abs, -1.0, 1.0, 1e-12)
-        assert val == pytest.approx(1.0, abs=1e-12)
-
-    def test_empty_interval(self):
-        assert quadrature_1d(lambda x: 1.0, 2.0, 2.0) == 0.0
-
-    def test_nan_propagates_as_error(self):
-        with pytest.raises(QuadratureError):
-            quadrature_1d(lambda x: float("nan"), 0.0, 1.0)
-
-    def test_inverted_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            quadrature_1d(lambda x: 1.0, 1.0, 0.0)
 
 
 class TestLoglogSlope:

@@ -4,7 +4,9 @@ The analytic checks lean on closed forms for the uniform ball:
   * marginal tail for d = 1: Q(x) = (1 - x)/2,
   * marginal tail for d = 3: Q(x) = (1 - x)^2 (2 + x) / 4,
   * first partial moment: int_t^1 s pdf(s) ds = c1(d) (1 - t^2)^((d+1)/2) / (d+1),
-which give hand-traceable oracle values for gtilde.
+which give hand-traceable oracle values for gtilde.  Elsewhere the oracle is
+``scipy.integrate.quad`` at a relative tolerance of 1e-13 (and no absolute
+one, so tiny caps keep their relative accuracy).
 """
 
 import math
@@ -13,10 +15,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
-from relulab.numerics import make_rng, quadrature_1d, sample_uniform_ball
+from relulab.numerics import make_rng, sample_uniform_ball
 from relulab.weights import (
     EmpiricalWeight,
+    cap_moment,
     conditional_mean_constants,
     g_analytic,
     g_empirical,
@@ -31,6 +35,10 @@ from relulab.weights import (
 )
 
 
+def _quad(f, a, b):
+    return integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+
 class TestMarginalDensity:
     def test_known_constants(self):
         assert marginal_pdf_constant(1) == pytest.approx(0.5, abs=1e-15)
@@ -39,7 +47,7 @@ class TestMarginalDensity:
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
     def test_normalization(self, d):
-        mass = quadrature_1d(lambda t: marginal_pdf(d, t), -1.0, 1.0, 1e-12)
+        mass = _quad(lambda t: marginal_pdf(d, t), -1.0, 1.0)
         assert mass == pytest.approx(1.0, abs=1e-11)
 
     def test_vanishes_outside_support(self):
@@ -57,7 +65,7 @@ class TestTailProbability:
     def test_d1_closed_form(self, x):
         assert tail_probability(1, x) == pytest.approx((1.0 - x) / 2.0, abs=1e-14)
 
-    @pytest.mark.parametrize("x", [-0.8, 0.0, 0.4, 0.95])
+    @pytest.mark.parametrize("x", [-0.8, 0.0, 0.4, 0.95, 1.0 - 1e-6, 1.0 - 1e-9])
     def test_d3_closed_form(self, x):
         expected = (1.0 - x) ** 2 * (2.0 + x) / 4.0
         assert tail_probability(3, x) == pytest.approx(expected, rel=1e-12)
@@ -68,7 +76,7 @@ class TestTailProbability:
 
     @pytest.mark.parametrize("d,x", [(2, 0.3), (4, -0.6), (5, 0.85), (6, 0.97)])
     def test_matches_quadrature(self, d, x):
-        by_quad = quadrature_1d(lambda s: marginal_pdf(d, s), x, 1.0, 1e-14)
+        by_quad = _quad(lambda s: marginal_pdf(d, s), x, 1.0)
         assert tail_probability(d, x) == pytest.approx(by_quad, rel=1e-10)
 
     def test_extremes(self):
@@ -76,6 +84,16 @@ class TestTailProbability:
         assert tail_probability(3, -1.0) == 1.0
         assert tail_probability(3, 5.0) == 0.0
         assert tail_probability(3, -5.0) == 1.0
+
+
+class TestCapMoment:
+    @pytest.mark.parametrize("d", range(1, 12))
+    def test_matches_quadrature(self, d):
+        p = (d - 1) / 2.0
+        for j in (1, 2):
+            for a in np.geomspace(1e-6, 1.99, 13):
+                by_quad = _quad(lambda x: (a - x) ** j * (x * (2.0 - x)) ** p, 0.0, a)
+                assert cap_moment(d, j, a) == pytest.approx(by_quad, rel=1e-12)
 
 
 class TestAnalyticWeight:
@@ -96,6 +114,25 @@ class TestAnalyticWeight:
         gap = 0.02734375 / q
         expected = q * q * gap * math.sqrt(1.0 + e * e)
         assert tilde_g_analytic(3, 0.5) == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize("d", [2, 4, 6, 8, 10])
+    def test_deep_tail_matches_quadrature(self, d):
+        # The three conditional integrals by quadrature over the cap depth
+        # x = 1 - s in [0, 1 - t], where the nodes keep their relative
+        # spacing even for a cap of depth 1e-6.
+        c1 = marginal_pdf_constant(d)
+        p = (d - 1) / 2.0
+
+        def pdf(x):
+            return c1 * (x * (2.0 - x)) ** p
+
+        for t in (0.5, 0.9, 0.99, 1.0 - 1e-4, 1.0 - 1e-6):
+            a = 1.0 - t
+            q = _quad(pdf, 0.0, a)
+            mean = _quad(lambda x: (1.0 - x) * pdf(x), 0.0, a) / q
+            gap = _quad(lambda x: (a - x) * pdf(x), 0.0, a) / q
+            expected = q * q * gap * math.sqrt(1.0 + mean * mean)
+            assert tilde_g_analytic(d, t) == pytest.approx(expected, rel=1e-12)
 
     def test_vanishes_at_and_beyond_one(self):
         assert tilde_g_analytic(2, 1.0) == 0.0
