@@ -40,7 +40,7 @@ from .hardfn import (
     varshamov_gilbert,
 )
 from .nets import save_checkpoint
-from .numerics import derive_rng, sample_uniform_ball
+from .numerics import derive_rng, is_integer, sample_uniform_ball
 from .rates import exponent_table_to_csv
 from .sharpness import regularity_certificate
 from .training import TrainConfig, train_log_to_csv
@@ -64,6 +64,11 @@ def _check_keys(raw: dict, allowed, context: str) -> None:
 def _merge(defaults: dict, override: dict, context: str) -> dict:
     _check_keys(override, defaults, context)
     return {**defaults, **override}
+
+
+def _check_count(key: str, value, low: int) -> None:
+    if not (is_integer(value) and value >= low):
+        raise ConfigError(f"{key} must be an integer >= {low}, got {value!r}")
 
 
 def _field_names(cls) -> set:
@@ -128,6 +133,7 @@ def _execute_train(cfg: SweepConfig, args) -> int:
 
 
 def _prepare_sweep(raw: dict, args):
+    _check_count("threads", args.threads, 1)
     _check_keys(raw, _field_names(SweepConfig), "config")
     merged = {**_SWEEP_DEFAULTS, **raw}
     return SweepConfig(
@@ -177,10 +183,7 @@ def _prepare_sharpness(raw: dict, args):
         raise ConfigError(
             f"certificate_rel_tol must be > 0, got {certificate['certificate_rel_tol']}"
         )
-    if certificate["certificate_max_iters"] < 1:
-        raise ConfigError(
-            f"certificate_max_iters must be >= 1, got {certificate['certificate_max_iters']}"
-        )
+    _check_count("certificate_max_iters", certificate["certificate_max_iters"], 1)
     return cfg, certificate
 
 
@@ -220,8 +223,9 @@ def _execute_sharpness(prepared, args) -> int:
 
 def _prepare_vgnorm(raw: dict, args):
     merged = _merge({"code_length": 16, "target": None}, raw, "config")
-    if merged["code_length"] < 8:
-        raise ConfigError(f"code_length must be >= 8, got {merged['code_length']}")
+    _check_count("code_length", merged["code_length"], 8)
+    if merged["target"] is not None:
+        _check_count("target", merged["target"], 1)
     return merged
 
 
@@ -261,20 +265,17 @@ def _prepare_hardfn(raw: dict, args):
         "l2_samples": 200000,
     }
     merged = _merge(defaults, raw, "config")
-    # type() rather than isinstance(): a JSON true is not a count.
     for key, low in (("d", 2), ("n_obs", 0), ("mc_trials", 1), ("l2_samples", 1)):
-        if not (type(merged[key]) is int and merged[key] >= low):
-            raise ConfigError(f"{key} must be an integer >= {low}, got {merged[key]!r}")
-    n_atoms = merged["n_atoms"]
-    if n_atoms is not None and not (type(n_atoms) is int and n_atoms >= 8):
-        raise ConfigError(f"n_atoms must be null or an integer >= 8, got {n_atoms!r}")
+        _check_count(key, merged[key], low)
+    if merged["n_atoms"] is not None:
+        _check_count("n_atoms", merged["n_atoms"], 8)
     if not 0.0 < merged["eps"] < 1.0:
         raise ConfigError(f"eps must be in (0, 1), got {merged['eps']!r}")
     if not 0.0 < merged["amplitude"] < math.inf:
         raise ConfigError(f"amplitude must be finite and > 0, got {merged['amplitude']!r}")
     pair = merged["pair"]
     if not (isinstance(pair, list) and len(pair) == 2
-            and all(type(k) is int and k >= 0 for k in pair)):
+            and all(is_integer(k) and k >= 0 for k in pair)):
         raise ConfigError(f"pair must hold two non-negative integer indices, got {pair!r}")
     return merged
 
@@ -341,8 +342,9 @@ def _execute_hardfn(merged: dict, args) -> int:
 
 def _prepare_rates(raw: dict, args):
     merged = _merge({"dims": list(range(1, 11))}, raw, "config")
-    if not merged["dims"] or min(merged["dims"]) < 1:
-        raise ConfigError("dims must be a nonempty list of positive integers")
+    dims = merged["dims"]
+    if not (isinstance(dims, list) and dims and all(is_integer(d) and d >= 1 for d in dims)):
+        raise ConfigError(f"dims must be a nonempty list of positive integers, got {dims!r}")
     return merged
 
 
@@ -385,7 +387,8 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
         cmd.add_argument("--config", default=None, help="path to a JSON config file")
         cmd.add_argument("--out", default="relulab-out", help="output directory")
-        cmd.add_argument("--threads", type=int, default=1, help="worker threads for sweeps")
+        if name == "sweep-mse":
+            cmd.add_argument("--threads", type=int, default=1, help="worker threads for the cells")
     return parser
 
 
@@ -400,8 +403,6 @@ def main(argv=None) -> int:
                 raw = json.load(fh)
             if not isinstance(raw, dict):
                 raise ConfigError("config file must hold a JSON object")
-        if args.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {args.threads}")
         prepared = prepare(raw, args)
         os.makedirs(args.out, exist_ok=True)
     except _CONFIG_ERRORS as exc:

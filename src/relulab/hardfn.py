@@ -361,12 +361,13 @@ def indistinguishable_probability_mc(
     chunk: int = 1000,
 ) -> float:
     """Monte Carlo estimate of :func:`indistinguishable_probability` for a
-    concrete member pair, drawing fresh n-point designs."""
+    concrete member pair, drawing fresh n-point designs.  With no
+    observations, or no differing caps, nothing can tell the pair apart."""
     rng = make_rng(rng)
     differ = family.code.bits[i] != family.code.bits[j]
     centers = family.centers[differ]
     tau = atom_threshold(family.eps)
-    if centers.shape[0] == 0:
+    if n == 0 or centers.shape[0] == 0:
         return 1.0
     misses = 0
     done = 0

@@ -23,7 +23,15 @@ import numpy as np
 
 from . import __version__
 from .nets import Dataset, forward, kaiming_init
-from .numerics import check_finite_fields, derive_rng, loglog_slope, make_rng, sample_uniform_ball
+from .numerics import (
+    check_finite_fields,
+    check_int_fields,
+    derive_rng,
+    is_integer,
+    loglog_slope,
+    make_rng,
+    sample_uniform_ball,
+)
 from .shattering import NeuronStats, neuron_stats, neuron_stats_to_csv, shattering_report
 from .sharpness import sharpness
 from .training import TrainConfig, TrainLog, TrainingDivergedError, train, train_log_to_csv
@@ -129,6 +137,9 @@ class SweepConfig:
     output_dir: str | None = None
 
     def __post_init__(self):
+        check_int_fields(self)
+        if not all(is_integer(k) for k in (*self.dims, *self.sample_sizes)):
+            raise ValueError("dims and sample_sizes must hold integers")
         dims = tuple(int(d) for d in self.dims)
         sizes = tuple(int(n) for n in self.sample_sizes)
         if not dims or not sizes:
@@ -224,9 +235,10 @@ def cell_rng(master_seed: int, d: int, n: int, seed_index: int, channel: int):
 def make_regression_dataset(rng, d: int, n: int, sigma: float) -> Dataset:
     """n points uniform on the unit ball with labels x_1 + sigma * noise.
 
-    The ground truth is the fixed linear functional f0(x) = e1 . x; the
-    noise stream is consumed even at sigma == 0 so the generator position
-    after the call does not depend on sigma.
+    The ground truth f0(x) = x_1 belongs to the harness, whose cell recipe
+    measures MSE against ``x[:, 0]``; the noise stream is consumed even at
+    sigma == 0 so the generator position after the call does not depend on
+    sigma.
     """
     if d < 1 or n < 1:
         raise ValueError(f"need d >= 1 and n >= 1, got d={d}, n={n}")
@@ -235,35 +247,26 @@ def make_regression_dataset(rng, d: int, n: int, sigma: float) -> Dataset:
     rng = make_rng(rng)
     x = sample_uniform_ball(rng, d, n)
     noise = rng.standard_normal(n)
-    direction = np.zeros(d)
-    direction[0] = 1.0
-    return Dataset(
-        inputs=x,
-        labels=x[:, 0] + sigma * noise,
-        f0_direction=direction,
-        noise_sigma=sigma,
-    )
+    return Dataset(inputs=x, labels=x[:, 0] + sigma * noise)
 
 
-def _measure_cell(
-    chash: str,
-    d: int,
-    n: int,
-    seed: int,
-    log: TrainLog,
-    data: Dataset,
-    train_config: TrainConfig,
-    holdout_size: int,
-    holdout_rng,
-    sharpness_rng,
-) -> tuple[RunRecord, NeuronStats]:
-    """Assemble the RunRecord for a finished training run, and return it
-    with the per-neuron statistics it was built from."""
+def _run_cell(chash, master_seed, d, n, seed, width, sigma, train_config, holdout_size):
+    """The one cell recipe of both experiments: data, init, train, measure.
+
+    Data, initialization, holdout and the final sharpness start each draw
+    from their own stream derived from ``(master_seed, d, n, seed)``, so two
+    calls that differ only in ``train_config`` share data and init.  Returns
+    (record, log, data, stats): the RunRecord, the training log, the
+    training sample, and the per-neuron statistics the shares come from.
+    """
+    key = (master_seed, d, n, seed)
+    data = make_regression_dataset(cell_rng(*key, TRAIN_DATA_CHANNEL), d, n, sigma)
+    log = train(kaiming_init(cell_rng(*key, INIT_CHANNEL), d, width), data, train_config)
     net = log.net
-    in_sample = float(np.mean((forward(net, data.inputs) - data.f0_values(data.inputs)) ** 2))
-    holdout = make_regression_dataset(holdout_rng, d, holdout_size, data.noise_sigma)
+    in_sample = float(np.mean((forward(net, data.inputs) - data.inputs[:, 0]) ** 2))
+    holdout = make_regression_dataset(cell_rng(*key, HOLDOUT_CHANNEL), d, holdout_size, sigma)
     predictions = forward(net, holdout.inputs)
-    holdout_mse = float(np.mean((predictions - holdout.f0_values(holdout.inputs)) ** 2))
+    holdout_mse = float(np.mean((predictions - holdout.inputs[:, 0]) ** 2))
     risk_out = float(np.mean((predictions - holdout.labels) ** 2))
     gap = abs(risk_out - 2.0 * log.final_loss)
     final_sharpness = sharpness(
@@ -271,7 +274,7 @@ def _measure_cell(
         data,
         rel_tol=train_config.telemetry_rel_tol,
         max_iters=train_config.telemetry_max_iters,
-        rng=sharpness_rng,
+        rng=cell_rng(*key, SHARPNESS_CHANNEL),
     )
     stats = neuron_stats(net, data.inputs)
     report = shattering_report(stats)
@@ -290,7 +293,7 @@ def _measure_cell(
         sparse_neuron_share=report.sparse_neuron_share,
         dead_neuron_share=report.dead_neuron_share,
     )
-    return record, stats
+    return record, log, data, stats
 
 
 def run_cell_with_log(cfg: SweepConfig, d: int, n: int, seed: int):
@@ -300,23 +303,9 @@ def run_cell_with_log(cfg: SweepConfig, d: int, n: int, seed: int):
     and the loss history.  Raises :class:`TrainingDivergedError` if the run
     blows up; the sweep driver converts that into a :class:`CellFailure`.
     """
-    data = make_regression_dataset(
-        cell_rng(cfg.master_seed, d, n, seed, TRAIN_DATA_CHANNEL), d, n, cfg.sigma
-    )
-    width = cfg.width_rule * n
-    net0 = kaiming_init(cell_rng(cfg.master_seed, d, n, seed, INIT_CHANNEL), d, width)
-    log = train(net0, data, cfg.train)
-    record, _ = _measure_cell(
-        config_hash(cfg),
-        d,
-        n,
-        seed,
-        log,
-        data,
-        cfg.train,
+    record, log, data, _ = _run_cell(
+        config_hash(cfg), cfg.master_seed, d, n, seed, cfg.width_rule * n, cfg.sigma, cfg.train,
         cfg.holdout_size,
-        cell_rng(cfg.master_seed, d, n, seed, HOLDOUT_CHANNEL),
-        cell_rng(cfg.master_seed, d, n, seed, SHARPNESS_CHANNEL),
     )
     return record, log, data
 
@@ -377,8 +366,8 @@ def run_mse_sweep(cfg: SweepConfig, threads: int = 1) -> SweepResult:
     """Train every (d, n, seed) cell and fit per-d log-log MSE slopes.
 
     Individual divergences are recorded as failures and the sweep continues.
-    With ``threads > 1`` cells run on a thread pool; results are identical
-    to the serial order because every cell derives its own random streams.
+    Cells run on a pool of ``threads`` worker threads; results do not depend
+    on the pool size because every cell derives its own random streams.
     When ``cfg.output_dir`` is set, writes sweep.csv, failures.csv,
     slopes.json, and manifest.json there (overwriting, so a rerun of the
     same config reproduces the same bytes).
@@ -391,11 +380,8 @@ def run_mse_sweep(cfg: SweepConfig, threads: int = 1) -> SweepResult:
         for n in cfg.sample_sizes
         for seed in range(cfg.seeds_per_cell)
     ]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(lambda cell: _attempt_cell(cfg, cell), cells))
-    else:
-        outcomes = [_attempt_cell(cfg, cell) for cell in cells]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        outcomes = list(pool.map(lambda cell: _attempt_cell(cfg, cell), cells))
     records = tuple(o for o in outcomes if isinstance(o, RunRecord))
     failures = tuple(o for o in outcomes if isinstance(o, CellFailure))
     medians = _median_table(cfg, records)
@@ -434,6 +420,7 @@ class ShatterConfig:
     output_dir: str | None = None
 
     def __post_init__(self):
+        check_int_fields(self)
         if self.d < 1 or self.n < 1 or self.width < 1:
             raise ValueError("d, n, and width must be positive")
         check_finite_fields(self)
@@ -473,44 +460,26 @@ class ShatterResult:
 
 
 def run_shattering_experiment(cfg: ShatterConfig) -> ShatterResult:
-    """Run both arms from shared data and a shared initialization.
+    """Run both arms as cells of the one recipe; they draw the same data and
+    initialization from the same derived streams.
 
     When ``cfg.output_dir`` is set, writes per-neuron scatter CSVs, per-arm
     training logs, a records JSON, and a manifest.
     """
-    d, n = cfg.d, cfg.n
-    data = make_regression_dataset(
-        cell_rng(cfg.master_seed, d, n, 0, TRAIN_DATA_CHANNEL), d, n, cfg.sigma
-    )
-    net0 = kaiming_init(cell_rng(cfg.master_seed, d, n, 0, INIT_CHANNEL), d, cfg.width)
-    large_cfg, decay_cfg = cfg.train_configs()
-
-    arms = {}
-    for arm, train_cfg in (("large_step", large_cfg), ("weight_decay", decay_cfg)):
-        log = train(net0, data, train_cfg)
-        payload = cfg.as_dict()
-        payload["arm"] = arm
-        record, stats = _measure_cell(
-            config_hash(payload),
-            d,
-            n,
-            0,
-            log,
-            data,
-            train_cfg,
-            10000,
-            cell_rng(cfg.master_seed, d, n, 0, HOLDOUT_CHANNEL),
-            cell_rng(cfg.master_seed, d, n, 0, SHARPNESS_CHANNEL),
+    (large, large_log, _, large_stats), (decay, decay_log, _, decay_stats) = (
+        _run_cell(
+            config_hash({**cfg.as_dict(), "arm": arm}),
+            cfg.master_seed, cfg.d, cfg.n, 0, cfg.width, cfg.sigma, train_cfg, 10000,
         )
-        arms[arm] = (record, log, stats)
-
+        for arm, train_cfg in zip(("large_step", "weight_decay"), cfg.train_configs())
+    )
     result = ShatterResult(
-        large_step=arms["large_step"][0],
-        weight_decay=arms["weight_decay"][0],
-        large_step_log=arms["large_step"][1],
-        weight_decay_log=arms["weight_decay"][1],
-        large_step_stats=arms["large_step"][2],
-        weight_decay_stats=arms["weight_decay"][2],
+        large_step=large,
+        weight_decay=decay,
+        large_step_log=large_log,
+        weight_decay_log=decay_log,
+        large_step_stats=large_stats,
+        weight_decay_stats=decay_stats,
     )
     if cfg.output_dir is not None:
         _persist_shatter(cfg, result)

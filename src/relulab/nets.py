@@ -82,17 +82,14 @@ class TwoLayerNet:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Regression sample on the closed unit ball.
+    """Regression sample on the closed unit ball: inputs and labels only.
 
-    ``f0_direction`` optionally records the ground-truth linear target
-    ``f0(x) = f0_direction . x`` (a unit vector) and ``noise_sigma`` the label
-    noise level, for experiments that need the noiseless reference.
+    The ground truth f0(x) = x_1 and the label noise level belong to the
+    experiment harness, which draws the labels and measures against f0.
     """
 
     inputs: np.ndarray
     labels: np.ndarray
-    f0_direction: np.ndarray | None = None
-    noise_sigma: float | None = None
 
     def __post_init__(self):
         x = np.asarray(self.inputs, dtype=float)
@@ -110,11 +107,6 @@ class Dataset:
             )
         object.__setattr__(self, "inputs", x)
         object.__setattr__(self, "labels", y)
-        if self.f0_direction is not None:
-            w0 = np.asarray(self.f0_direction, dtype=float)
-            if w0.shape != (x.shape[1],):
-                raise ValueError("f0_direction must be a d-vector")
-            object.__setattr__(self, "f0_direction", w0)
 
     @property
     def n(self) -> int:
@@ -123,11 +115,6 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.inputs.shape[1]
-
-    def f0_values(self, x: np.ndarray) -> np.ndarray:
-        if self.f0_direction is None:
-            raise ValueError("dataset has no ground-truth descriptor")
-        return np.asarray(x, dtype=float) @ self.f0_direction
 
 
 # ---------------------------------------------------------------------------

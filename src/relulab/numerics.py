@@ -6,13 +6,14 @@ alone.  The module also provides the uniform-ball sampler used throughout, a
 matrix-free power iteration that returns the largest *algebraic* eigenvalue
 of a symmetric operator, an ordinary least squares slope fit in log-log
 coordinates, and the finiteness check that configs and records run on their
-float fields.
+float fields, with its counterpart for their integer fields.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -26,9 +27,9 @@ __all__ = [
     "power_iteration",
     "loglog_slope",
     "check_finite_fields",
+    "is_integer",
+    "check_int_fields",
 ]
-
-RngLike = "int | np.random.SeedSequence | np.random.Generator"
 
 
 def make_rng(seed: int | np.random.SeedSequence | np.random.Generator) -> np.random.Generator:
@@ -220,3 +221,19 @@ def check_finite_fields(obj, label: str = "") -> None:
             value = getattr(obj, field.name)
             if not math.isfinite(value):
                 raise ValueError(f"{label}{field.name} must be finite, got {value!r}")
+
+
+def is_integer(value) -> bool:
+    """True for Python and numpy integers; a bool is not a count."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_int_fields(obj) -> None:
+    """Raise ``ValueError`` if an int-annotated field of the dataclass
+    instance ``obj`` holds anything but an integer (2.5 epochs or a
+    sharpness reading every 1.5 steps would otherwise pass the range
+    checks and then fail or misbehave mid-run)."""
+    for field in dataclasses.fields(obj):
+        value = getattr(obj, field.name)
+        if field.type == "int" and not is_integer(value):
+            raise ValueError(f"{field.name} must be an integer, got {value!r}")

@@ -25,9 +25,6 @@ __all__ = [
     "neuron_stats_to_csv",
 ]
 
-MAGNITUDE_QUANTILE_LEVELS = (0.0, 0.25, 0.5, 0.75, 1.0)
-
-
 @dataclass(frozen=True)
 class NeuronStats:
     """Arrays indexed by neuron: activation fraction on the reference
@@ -49,14 +46,12 @@ class ShatteringReport:
 
     ``sparse_neuron_share`` counts neurons active on a positive fraction of inputs
     no larger than the threshold; ``dead_neuron_share`` counts neurons that never
-    fire.  The two are disjoint.  ``magnitude_quantiles`` holds the
-    (0, 0.25, 0.5, 0.75, 1) quantiles of |v_k| ||w_k||.
+    fire.  The two are disjoint.
     """
 
     sparse_neuron_share: float
     dead_neuron_share: float
     median_activation: float
-    magnitude_quantiles: np.ndarray
     sparse_threshold: float
 
 
@@ -91,7 +86,6 @@ def shattering_report(stats: NeuronStats, sparse_threshold: float = 0.10) -> Sha
         sparse_neuron_share=float(sparse),
         dead_neuron_share=float(dead),
         median_activation=float(np.median(f)),
-        magnitude_quantiles=np.quantile(stats.magnitude, MAGNITUDE_QUANTILE_LEVELS),
         sparse_threshold=sparse_threshold,
     )
 

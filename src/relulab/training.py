@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from relulab.nets import Dataset, TwoLayerNet, _grad_flat, loss, pack_params, unpack_params
-from relulab.numerics import check_finite_fields, make_rng
+from relulab.numerics import check_finite_fields, check_int_fields, make_rng
 from relulab.sharpness import sharpness
 
 __all__ = [
@@ -62,6 +62,7 @@ class TrainConfig:
 
     def __post_init__(self):
         check_finite_fields(self)
+        check_int_fields(self)
         if self.eta <= 0.0:
             raise ValueError(f"step size must be positive, got {self.eta}")
         if self.epochs < 0:
@@ -91,10 +92,6 @@ class TrainLog:
     final_loss: float
     sharpness_events: tuple = field(default_factory=tuple)
     clip_epochs: tuple = field(default_factory=tuple)
-
-    @property
-    def final_mse(self) -> float:
-        return 2.0 * self.final_loss
 
 
 def _decay_mask(d: int, k: int, decay_biases: bool) -> np.ndarray:

@@ -62,12 +62,13 @@ def marginal_pdf_constant(d: int) -> float:
 
 
 def marginal_pdf(d: int, t):
-    """Density of X1 for X uniform on the unit ball: c1(d) (1 - t^2)^((d-1)/2)."""
+    """Density of X1 for X uniform on the unit ball: c1(d) (1 - t^2)^((d-1)/2),
+    with 1 - t^2 formed as (1 - t)(1 + t) to keep relative accuracy near |t| = 1."""
     d = _check_dim(d)
     c1 = marginal_pdf_constant(d)
     t_arr = np.asarray(t, dtype=float)
     inside = np.abs(t_arr) <= 1.0
-    body = np.where(inside, 1.0 - t_arr * t_arr, 0.0)
+    body = np.where(inside, (1.0 - t_arr) * (1.0 + t_arr), 0.0)
     vals = np.where(inside, c1 * body ** ((d - 1) / 2.0), 0.0)
     return float(vals) if np.isscalar(t) or t_arr.ndim == 0 else vals
 

@@ -44,7 +44,13 @@ class TestExitCodes:
         assert main(["sweep-mse", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
     def test_bad_threads(self, tmp_path):
-        assert main(["rates", "--threads", "0", "--out", str(tmp_path / "o")]) == 2
+        out = tmp_path / "o"
+        assert main(["sweep-mse", "--threads", "0", "--out", str(out)]) == 2
+        assert not out.exists()
+        # Only sweep-mse runs a pool, so no other command takes --threads.
+        with pytest.raises(SystemExit) as info:
+            main(["rates", "--threads", "2", "--out", str(out)])
+        assert info.value.code == 2
 
     @pytest.mark.parametrize(
         "command,raw",
@@ -56,6 +62,25 @@ class TestExitCodes:
             ("sharpness", {**TINY_TRAIN, "certificate_rel_tol": -1}),
             ("sharpness", {**TINY_TRAIN, "certificate_rel_tol": float("nan")}),
             ("sharpness", {**TINY_TRAIN, "certificate_max_iters": 0}),
+            ("sharpness", {**TINY_TRAIN, "certificate_max_iters": 1.5}),
+            ("train", {"train": {"epochs": 2.5}}),
+            ("train", {"train": {"sharpness_every": 1.5}}),
+            ("train", {"width_rule": 1.5}),
+            ("train", {"holdout_size": 10.5}),
+            ("train", {"n": 8.5}),
+            ("train", {"d": True}),
+            ("sweep-mse", {"dims": [1.5, 2]}),
+            ("sweep-mse", {"seeds_per_cell": 2.0}),
+            ("shatter", {"width": 2.5}),
+            ("shatter", {"epochs": True}),
+            ("vgnorm", {"code_length": 8.5}),
+            ("vgnorm", {"target": 0}),
+            ("vgnorm", {"target": -3}),
+            ("vgnorm", {"target": 2.5}),
+            ("vgnorm", {"target": True}),
+            ("rates", {"dims": [1.5, 2]}),
+            ("rates", {"dims": [True]}),
+            ("rates", {"dims": 3}),
             ("hardfn-verify", {"d": 1}),
             ("hardfn-verify", {"d": 2.5}),
             ("hardfn-verify", {"d": True}),
@@ -278,6 +303,14 @@ class TestHardfnVerifyCommand:
         assert payload["pass"] is True
         assert payload["atom_l2"]["lower"] <= payload["atom_l2"]["value"]
         assert payload["atom_l2"]["value"] <= payload["atom_l2"]["upper"]
+
+    def test_zero_observations(self, tmp_path):
+        cfg = _write_config(tmp_path, {"n_obs": 0, "mc_trials": 10, "l2_samples": 100})
+        out = tmp_path / "hard"
+        assert main(["hardfn-verify", "--config", cfg, "--out", str(out)]) == 0
+        estimates = json.loads((out / "hardfn.json").read_text())["indistinguishable_probability"]
+        assert estimates["closed_form"] == 1.0
+        assert estimates["monte_carlo"] == 1.0
 
 
 class TestRatesCommand:

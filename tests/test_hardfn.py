@@ -249,6 +249,13 @@ class TestIndistinguishability:
     def test_saturated_mass_clamps_to_zero(self):
         assert indistinguishable_probability(1, 0.9, 10, 5) == 0.0
 
+    def test_zero_observations_never_tell_a_pair_apart(self):
+        fam = build_hard_family(make_rng(21), 3, 0.3)
+        h = int(np.sum(fam.code.bits[0] != fam.code.bits[1]))
+        assert h > 0
+        assert indistinguishable_probability(fam.dim, fam.eps, h, 0) == 1.0
+        assert indistinguishable_probability_mc(make_rng(22), fam, 0, 1, 0, 10) == 1.0
+
     def test_monte_carlo_agrees(self):
         fam = build_hard_family(make_rng(21), 3, 0.3)
         i, j = 0, 1

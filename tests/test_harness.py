@@ -54,11 +54,6 @@ class TestRegressionDataset:
         outliers = np.sum(np.abs(data.labels) > 1.0 + 5.0 * 0.3)
         assert outliers <= 10
 
-    def test_ground_truth_descriptor(self):
-        data = make_regression_dataset(make_rng(1), d=4, n=10, sigma=0.2)
-        np.testing.assert_array_equal(data.f0_direction, [1.0, 0.0, 0.0, 0.0])
-        assert data.noise_sigma == 0.2
-
     def test_same_seed_reproduces(self):
         a = make_regression_dataset(make_rng(9), d=2, n=20, sigma=1.0)
         b = make_regression_dataset(make_rng(9), d=2, n=20, sigma=1.0)
@@ -199,7 +194,7 @@ class TestSweep:
 
         data = make_regression_dataset(cell_rng(11, 2, 8, 0, TRAIN_DATA_CHANNEL), 2, 8, 0.5)
         net0 = kaiming_init(cell_rng(11, 2, 8, 0, INIT_CHANNEL), 2, 16)
-        expected = np.mean((forward(net0, data.inputs) - data.f0_values(data.inputs)) ** 2)
+        expected = np.mean((forward(net0, data.inputs) - data.inputs[:, 0]) ** 2)
         assert rec.in_sample_mse_vs_f0 == expected
         assert rec.final_train_loss == loss(net0, data)
         # The holdout comes from the same generative process on its own stream;
@@ -237,12 +232,24 @@ class TestSweep:
         both = run_mse_sweep(_smoke_config(mse_mode="both"))
         assert set(both.slopes) == {"in_sample_vs_f0", "holdout_vs_f0"}
 
-    def test_thread_pool_reproduces_serial_results(self):
-        cfg = _smoke_config(dims=(1, 2), sample_sizes=(8, 16), seeds_per_cell=2)
-        serial = run_mse_sweep(cfg, threads=1)
-        pooled = run_mse_sweep(cfg, threads=3)
+    def test_thread_pool_reproduces_serial_results(self, tmp_path):
+        names = ("sweep.csv", "failures.csv", "slopes.json", "manifest.json")
+        results, blobs = [], []
+        for threads in (1, 3):
+            out = tmp_path / f"threads-{threads}"
+            cfg = _smoke_config(
+                dims=(1, 2),
+                sample_sizes=(8, 16),
+                seeds_per_cell=2,
+                train=TrainConfig(eta=0.1, epochs=3),
+                output_dir=str(out),
+            )
+            results.append(run_mse_sweep(cfg, threads=threads))
+            blobs.append({name: (out / name).read_bytes() for name in names})
+        serial, pooled = results
         assert serial.records == pooled.records
         assert serial.slopes == pooled.slopes
+        assert blobs[0] == blobs[1]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_recorded_and_sweep_continues(self):
@@ -332,6 +339,24 @@ class TestShatteringExperiment:
             if field.name == "config_hash":
                 continue
             assert getattr(a, field.name) == getattr(b, field.name)
+
+    def test_each_arm_is_the_matching_sweep_cell(self):
+        cfg = ShatterConfig(epochs=5, **self.SMALL)
+        result = run_shattering_experiment(cfg)
+        for arm, train_cfg in zip(("large_step", "weight_decay"), cfg.train_configs()):
+            cell = SweepConfig(
+                dims=(cfg.d,),
+                sample_sizes=(cfg.n,),
+                train=train_cfg,
+                sigma=cfg.sigma,
+                seeds_per_cell=1,
+                width_rule=cfg.width // cfg.n,
+                holdout_size=10_000,
+                master_seed=cfg.master_seed,
+            )
+            record = run_single_cell(cell, cfg.d, cfg.n, 0)
+            expected = dataclasses.replace(getattr(result, arm), config_hash=record.config_hash)
+            assert record == expected
 
     def test_trained_arms_differ(self):
         result = run_shattering_experiment(ShatterConfig(epochs=5, **self.SMALL))

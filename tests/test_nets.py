@@ -120,14 +120,6 @@ class TestDatasetValidation:
         with pytest.raises(ValueError):
             Dataset(inputs=[[0.1, 0.2]], labels=[0.0, 1.0])
 
-    def test_f0_values(self):
-        data = Dataset(
-            inputs=[[0.5, 0.0], [0.0, 0.5]],
-            labels=[0.0, 0.0],
-            f0_direction=[1.0, 0.0],
-        )
-        np.testing.assert_allclose(data.f0_values(data.inputs), [0.5, 0.0])
-
 
 class TestReducedForm:
     def test_zero_direction_neuron_folds_to_constant(self):

@@ -70,15 +70,6 @@ class TestShatteringReport:
         assert report.dead_neuron_share == pytest.approx(1 / 3)
         assert report.sparse_neuron_share == pytest.approx(1 / 3)
 
-    def test_magnitude_quantiles(self):
-        stats = NeuronStats(
-            activation_fraction=np.linspace(0.1, 0.9, 5),
-            magnitude=np.array([4.0, 1.0, 3.0, 2.0, 5.0]),
-            offset=np.zeros(5),
-        )
-        report = shattering_report(stats)
-        np.testing.assert_allclose(report.magnitude_quantiles, [1.0, 2.0, 3.0, 4.0, 5.0])
-
     def test_threshold_validation(self):
         stats = neuron_stats(NET, INPUTS)
         with pytest.raises(ValueError, match="threshold"):

@@ -40,7 +40,6 @@ class TestHandSteppedDescent:
         expected = np.array([1.07559375, -0.15118750, 1.08046875, 0.14875])
         np.testing.assert_allclose(pack_params(log.net), expected, rtol=1e-15)
         assert log.final_loss == loss(log.net, self.DATA)
-        assert log.final_mse == 2.0 * log.final_loss
         assert log.clip_epochs == ()
         assert log.sharpness_events == ()
 

@@ -10,6 +10,7 @@ one, so tiny caps keep their relative accuracy).
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -53,6 +54,12 @@ class TestMarginalDensity:
     def test_vanishes_outside_support(self):
         assert marginal_pdf(3, 1.2) == 0.0
         assert marginal_pdf(3, -1.2) == 0.0
+
+    @pytest.mark.parametrize("t", [1.0 - 2.0**-30, -(1.0 - 2.0**-30)])
+    def test_relative_accuracy_near_the_edge(self, t):
+        # At d = 3 the density is 3/4 (1 - t^2); exact rationals are the oracle.
+        exact = Fraction(3, 4) * (1 - Fraction(t) ** 2)
+        assert marginal_pdf(3, t) == pytest.approx(float(exact), rel=1e-15, abs=0.0)
 
     def test_array_input(self):
         vals = marginal_pdf(2, np.array([0.0, 0.5, 2.0]))
