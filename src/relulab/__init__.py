@@ -39,7 +39,6 @@ from relulab.nets import (
     loss_gradient,
     save_checkpoint,
     to_reduced_form,
-    weighted_path_norm,
 )
 from relulab.numerics import (
     PowerIterationResult,
@@ -74,7 +73,6 @@ from relulab.training import (
     train,
 )
 from relulab.weights import (
-    EmpiricalWeight,
     g_analytic,
     g_empirical,
     g_simplified,

@@ -29,6 +29,7 @@ from .harness import (
     write_manifest,
 )
 from .hardfn import (
+    HardFamily,
     atom_l2_constants,
     atom_l2_norm,
     ball_volume,
@@ -69,6 +70,12 @@ def _merge(defaults: dict, override: dict, context: str) -> dict:
 def _check_count(key: str, value, low: int) -> None:
     if not (is_integer(value) and value >= low):
         raise ConfigError(f"{key} must be an integer >= {low}, got {value!r}")
+
+
+def _check_real(key: str, value, low: float, high: float = math.inf) -> None:
+    # A JSON boolean is not a number; NaN fails both comparisons.
+    if isinstance(value, bool) or not low < value < high:
+        raise ConfigError(f"{key} must be a number in ({low}, {high}), got {value!r}")
 
 
 def _field_names(cls) -> set:
@@ -179,10 +186,7 @@ def _prepare_sharpness(raw: dict, args):
     cell_raw = {k: v for k, v in raw.items() if k not in _CERTIFICATE_DEFAULTS}
     certificate = {k: raw.get(k, default) for k, default in _CERTIFICATE_DEFAULTS.items()}
     cfg = _cell_sweep_config(cell_raw, args)
-    if not certificate["certificate_rel_tol"] > 0.0:
-        raise ConfigError(
-            f"certificate_rel_tol must be > 0, got {certificate['certificate_rel_tol']}"
-        )
+    _check_real("certificate_rel_tol", certificate["certificate_rel_tol"], 0.0)
     _check_count("certificate_max_iters", certificate["certificate_max_iters"], 1)
     return cfg, certificate
 
@@ -269,25 +273,37 @@ def _prepare_hardfn(raw: dict, args):
         _check_count(key, merged[key], low)
     if merged["n_atoms"] is not None:
         _check_count("n_atoms", merged["n_atoms"], 8)
-    if not 0.0 < merged["eps"] < 1.0:
-        raise ConfigError(f"eps must be in (0, 1), got {merged['eps']!r}")
-    if not 0.0 < merged["amplitude"] < math.inf:
-        raise ConfigError(f"amplitude must be finite and > 0, got {merged['amplitude']!r}")
+    _check_real("eps", merged["eps"], 0.0, 1.0)
+    _check_real("amplitude", merged["amplitude"], 0.0)
     pair = merged["pair"]
     if not (isinstance(pair, list) and len(pair) == 2
             and all(is_integer(k) and k >= 0 for k in pair)):
         raise ConfigError(f"pair must hold two non-negative integer indices, got {pair!r}")
-    return merged
-
-
-def _execute_hardfn(merged: dict, args) -> int:
-    d, eps = merged["d"], merged["eps"]
+    # The pair indexes the built family, so the family is built here.
     family = build_hard_family(
-        derive_rng(args.seed, 0), d, eps, merged["n_atoms"], merged["amplitude"]
+        derive_rng(args.seed, 0), merged["d"], merged["eps"], merged["n_atoms"],
+        merged["amplitude"],
     )
+    if max(pair) >= family.size:
+        raise ConfigError(f"pair {pair} out of range for family of size {family.size}")
+    return _HardfnJob(merged, family)
+
+
+@dataclasses.dataclass(frozen=True)
+class _HardfnJob:
+    """A validated hardfn-verify config and the family it indexes."""
+
+    config: dict
+    family: HardFamily
+
+    def as_dict(self) -> dict:
+        return self.config
+
+
+def _execute_hardfn(job: _HardfnJob, args) -> int:
+    merged, family = job.config, job.family
+    d, eps = merged["d"], merged["eps"]
     i, j = merged["pair"]
-    if not (0 <= i < family.size and 0 <= j < family.size):
-        raise ConfigError(f"pair {merged['pair']} out of range for family of size {family.size}")
 
     lo, hi = atom_l2_constants(d)
     atom = atom_l2_norm(d, eps)
@@ -384,7 +400,7 @@ def _build_parser() -> argparse.ArgumentParser:
     }
     for name, text in help_lines.items():
         cmd = sub.add_parser(name, help=text)
-        cmd.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+        cmd.add_argument("--seed", type=int, default=0, help="master seed, >= 0 (default 0)")
         cmd.add_argument("--config", default=None, help="path to a JSON config file")
         cmd.add_argument("--out", default="relulab-out", help="output directory")
         if name == "sweep-mse":
@@ -396,6 +412,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     prepare, execute = _COMMANDS[args.command]
     try:
+        _check_count("--seed", args.seed, 0)
         if args.config is None:
             raw = {}
         else:

@@ -157,6 +157,8 @@ class SweepConfig:
             raise ValueError(f"mse_mode must be one of {MSE_MODES}, got {self.mse_mode!r}")
         if self.holdout_size < 1:
             raise ValueError(f"holdout_size must be >= 1, got {self.holdout_size}")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "sample_sizes", sizes)
 
@@ -423,6 +425,8 @@ class ShatterConfig:
         check_int_fields(self)
         if self.d < 1 or self.n < 1 or self.width < 1:
             raise ValueError("d, n, and width must be positive")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         check_finite_fields(self)
         if self.sigma < 0.0:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")

@@ -6,15 +6,14 @@ fixed layout ``[w row-major, b, v, beta]``; the checkpoint format on disk uses
 the same layout behind a small header.
 
 The reduced form rewrites the network as signed atoms on unit directions,
-``f(x) = sum_j a_j * relu(u_j . x - t_j) + c . x + c0`` on a ball of radius
-``R``, which is the representation the variation seminorms are defined on.
+``f(x) = sum_j a_j * relu(u_j . x - t_j) + c . x + c0`` on the unit ball,
+which is the representation the variation seminorms are defined on.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -30,7 +29,6 @@ __all__ = [
     "param_count",
     "kaiming_init",
     "to_reduced_form",
-    "weighted_path_norm",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -260,10 +258,10 @@ def kaiming_init(rng: np.random.Generator, d: int, k: int) -> TwoLayerNet:
 
 @dataclass(frozen=True)
 class ReducedForm:
-    """Atoms on unit directions plus an affine remainder, valid on ``B_R``.
+    """Atoms on unit directions plus an affine remainder, valid on the unit ball.
 
     ``f(x) = sum_j a[j] * relu(u[j] . x - t[j]) + c . x + c0`` with
-    ``||u[j]|| = 1``, ``|t[j]| <= R``, and pairwise distinct ``(u, t)``.
+    ``||u[j]|| = 1``, ``|t[j]| <= 1``, and pairwise distinct ``(u, t)``.
     """
 
     a: np.ndarray
@@ -271,64 +269,39 @@ class ReducedForm:
     t: np.ndarray
     c: np.ndarray
     c0: float
-    radius: float
 
     @property
     def n_atoms(self) -> int:
         return self.a.shape[0]
 
 
-def to_reduced_form(net: TwoLayerNet, radius: float = 1.0) -> ReducedForm:
-    """Normalize a network to its reduced form on the ball of radius ``radius``.
+def to_reduced_form(net: TwoLayerNet) -> ReducedForm:
+    """Normalize a network to its reduced form on the unit ball.
 
     Per neuron with nonzero input weight: ``a = v * ||w||``, ``u = w / ||w||``,
     ``t = b / ||w||`` (positive homogeneity of the ReLU).  Neurons that are
-    never active on the ball (``t > R``) are dropped, neurons that are always
-    active (``t < -R``) fold into the affine remainder, and zero-direction
+    never active on the ball (``t > 1``) are dropped, neurons that are always
+    active (``t < -1``) fold into the affine remainder, and zero-direction
     neurons fold their constant value into ``c0``.  Exact-duplicate atoms
     (componentwise within 1e-12) merge by summing coefficients; merged atoms
     with coefficient exactly zero are dropped.
     """
-    radius = float(radius)
-    if radius <= 0.0:
-        raise ValueError(f"radius must be positive, got {radius}")
     d = net.input_dim
     norms = np.linalg.norm(net.w, axis=1)
-
-    c = np.zeros(d)
-    c0 = float(net.beta)
-    raw_a: list[float] = []
-    raw_u: list[np.ndarray] = []
-    raw_t: list[float] = []
-
-    for k in range(net.width):
-        nk = norms[k]
-        if nk == 0.0:
-            # Constant neuron: v * relu(-b).
-            c0 += net.v[k] * max(-net.b[k], 0.0)
-            continue
-        u = net.w[k] / nk
-        t = net.b[k] / nk
-        a = net.v[k] * nk
-        if t > radius:
-            continue  # never active on the ball
-        if t < -radius:
-            # Always active: a * (u . x - t) is affine on the ball.
-            c += a * u
-            c0 -= a * t
-            continue
-        raw_a.append(a)
-        raw_u.append(u)
-        raw_t.append(t)
-
-    if not raw_a:
-        return ReducedForm(
-            a=np.zeros(0), u=np.zeros((0, d)), t=np.zeros(0), c=c, c0=c0, radius=radius
-        )
-
-    ua = np.asarray(raw_u)
-    ta = np.asarray(raw_t)
-    aa = np.asarray(raw_a)
+    live = norms > 0.0
+    nk = norms[live]
+    u = net.w[live] / nk[:, None]
+    t = net.b[live] / nk
+    a = net.v[live] * nk
+    # Always active: a * (u . x - t) is affine on the ball.  Constant
+    # neurons add v * relu(-b).
+    always = t < -1.0
+    c = a[always] @ u[always]
+    c0 = float(net.beta + net.v[~live] @ np.maximum(-net.b[~live], 0.0) - a[always] @ t[always])
+    kept = np.abs(t) <= 1.0
+    ua = u[kept]
+    ta = t[kept]
+    aa = a[kept]
 
     # Group duplicates: lexicographic sort puts equal (u, t) rows next to each
     # other, then a linear walk merges runs within the tolerance.
@@ -359,13 +332,7 @@ def to_reduced_form(net: TwoLayerNet, radius: float = 1.0) -> ReducedForm:
         t=np.asarray(out_t),
         c=c,
         c0=c0,
-        radius=radius,
     )
-
-
-def weighted_path_norm(rf: ReducedForm, g: Callable[[np.ndarray, float], float]) -> float:
-    """``sum_j |a_j| g(u_j, t_j)`` for a weight function ``g``."""
-    return float(sum(abs(a) * g(u, t) for a, u, t in zip(rf.a, rf.u, rf.t)))
 
 
 # ---------------------------------------------------------------------------

@@ -213,12 +213,15 @@ def loglog_slope(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
 
 def check_finite_fields(obj, label: str = "") -> None:
     """Raise ``ValueError`` if a float-annotated field of the dataclass
-    instance ``obj`` is NaN or infinite (``nan <= 0`` is False, so range
-    checks alone let NaN through).  ``label`` prefixes the field name in
-    the message."""
+    instance ``obj`` is NaN, infinite or a bool (``nan <= 0`` is False, so
+    range checks alone let NaN through, and ``True`` would pass as 1.0).
+    Integers pass unconverted.  ``label`` prefixes the field name in the
+    message."""
     for field in dataclasses.fields(obj):
         if field.type == "float":
             value = getattr(obj, field.name)
+            if isinstance(value, bool):
+                raise ValueError(f"{label}{field.name} must be a number, got {value!r}")
             if not math.isfinite(value):
                 raise ValueError(f"{label}{field.name} must be finite, got {value!r}")
 

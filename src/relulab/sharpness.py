@@ -12,9 +12,9 @@ matrix.
 
 The certificate at the end bounds the weighted path norm of the represented
 function by a sharpness expression: with the empirical weight g built from
-the training inputs,
+the training inputs, which lie in the unit ball (R = 1),
 
-    weighted_path_norm <= lambda_max/2 - 1/2 + (R+1) sqrt(2 L)
+    sum_j |a_j| g(u_j, t_j) <= lambda_max/2 - 1/2 + (R+1) sqrt(2 L)
 
 and the Gauss-Newton eigenvalue separately dominates the one-sided bound
 ``1 + 2 sum_k |v_k| ||w_k|| gtilde(w_k/||w_k||, b_k/||w_k||)``.
@@ -39,10 +39,9 @@ from relulab.nets import (
     loss,
     param_count,
     to_reduced_form,
-    weighted_path_norm,
 )
 from relulab.numerics import power_iteration
-from relulab.weights import EmpiricalWeight, tilde_g_empirical
+from relulab.weights import g_empirical, tilde_g_empirical
 
 __all__ = [
     "ActivationBoundaryWarning",
@@ -206,22 +205,19 @@ def term_a_lower_bound(net: TwoLayerNet, data: Dataset) -> float:
     Zero-direction neurons contribute nothing and are skipped.
     """
     norms = np.linalg.norm(net.w, axis=1)
-    total = 1.0
-    for k in range(net.width):
-        nk = norms[k]
-        if nk == 0.0 or net.v[k] == 0.0:
-            continue
-        gt = tilde_g_empirical(data.inputs, net.w[k] / nk, net.b[k] / nk)
-        total += 2.0 * abs(net.v[k]) * nk * gt
-    return total
+    keep = (norms > 0.0) & (net.v != 0.0)
+    nk = norms[keep]
+    gt = tilde_g_empirical(data.inputs, net.w[keep] / nk[:, None], net.b[keep] / nk)
+    return 1.0 + 2.0 * float(np.abs(net.v[keep]) * nk @ gt)
 
 
 @dataclass(frozen=True)
 class RegularityCertificate:
     """Numerical certificate tying flatness to weighted-variation smallness.
 
-    ``lhs`` is the weighted path norm of the reduced form under the empirical
-    weight; ``rhs`` is ``lambda_max/2 - 1/2 + (R+1) sqrt(2 L)``.  ``holds``
+    ``lhs`` is the weighted path norm ``sum_j |a_j| g(u_j, t_j)`` of the
+    reduced form under the empirical weight; ``rhs`` is
+    ``lambda_max/2 - 1/2 + 2 sqrt(2 L)``, the unit ball's R = 1.  ``holds``
     allows absolute slack 1e-8 for eigenvalue estimation error.
     ``term_a_holds`` records the Gauss-Newton side check.
     """
@@ -239,23 +235,22 @@ class RegularityCertificate:
 def regularity_certificate(
     net: TwoLayerNet,
     data: Dataset,
-    radius: float = 1.0,
     rel_tol: float = 1e-10,
     max_iters: int = 20000,
     rng=None,
 ) -> RegularityCertificate:
     """Check the flatness-implies-regularity inequality at ``net``.
 
-    The weight is the :class:`EmpiricalWeight` of ``data.inputs``, the
+    The weight is :func:`g_empirical` over ``data.inputs``, the
     distribution the inequality is proved for.  The certificate is valid at
     any twice differentiable parameter point, minima included.
     """
-    rf = to_reduced_form(net, radius)
-    lhs = weighted_path_norm(rf, EmpiricalWeight(points=data.inputs))
+    rf = to_reduced_form(net)
+    lhs = float(np.abs(rf.a) @ g_empirical(data.inputs, rf.u, rf.t))
     lam = sharpness(net, data, rel_tol=rel_tol, max_iters=max_iters, rng=rng)
     gn_lam = gauss_newton_sharpness(net, data, rel_tol=rel_tol, max_iters=max_iters, rng=rng)
     train_loss = loss(net, data)
-    rhs = 0.5 * lam - 0.5 + (radius + 1.0) * math.sqrt(2.0 * train_loss)
+    rhs = 0.5 * lam - 0.5 + 2.0 * math.sqrt(2.0 * train_loss)
     bound = term_a_lower_bound(net, data)
     return RegularityCertificate(
         lhs=lhs,

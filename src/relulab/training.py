@@ -73,6 +73,8 @@ class TrainConfig:
             raise ValueError(f"weight decay must be >= 0, got {self.weight_decay}")
         if self.sharpness_every < 0:
             raise ValueError(f"sharpness_every must be >= 0, got {self.sharpness_every}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.telemetry_rel_tol <= 0.0 or self.telemetry_max_iters < 1:
             raise ValueError("telemetry tolerances must be positive")
 

@@ -13,9 +13,9 @@ with ``U = X . u``, and the weight itself symmetrizes the two orientations,
 * ``g_analytic``: the full expression for the uniform ball, reduced to one
   dimension by rotational symmetry (the conditional mean vector is parallel
   to ``u``, so its norm is the scalar conditional mean),
-* ``g_empirical`` and its callable form ``EmpiricalWeight``: plug-in
-  estimates from a point cloud, with strict inequalities and the convention
-  that an empty conditioning event gives 0.
+* ``g_empirical``: plug-in estimates from a point cloud for many pairs at
+  once, with strict inequalities and the convention that an empty
+  conditioning event gives 0.
 
 The module also exposes the marginal density of a single coordinate, its tail
 probability (exact through the regularized incomplete Beta function), the cap
@@ -26,10 +26,11 @@ sandwiches used to certify the ``(1 - t)^(d+2)`` decay on [3/4, 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
+
+from relulab.nets import _block_buffer, _row_blocks
 
 __all__ = [
     "marginal_pdf_constant",
@@ -44,7 +45,6 @@ __all__ = [
     "g_simplified",
     "tilde_g_empirical",
     "g_empirical",
-    "EmpiricalWeight",
 ]
 
 
@@ -189,52 +189,49 @@ def g_simplified(d: int, t: float) -> float:
 # empirical weight from a point cloud
 # ---------------------------------------------------------------------------
 
-def tilde_g_empirical(points: np.ndarray, u: np.ndarray, t: float) -> float:
-    """Plug-in one-sided factor over a point cloud.
+def tilde_g_empirical(points: np.ndarray, u: np.ndarray, t):
+    """Plug-in one-sided factors over a point cloud, one per pair ``(u_j, t_j)``.
 
-    Strict inequality in the conditioning event; an empty event gives 0.
-    ``u`` is taken as given (callers pass unit directions).
+    ``u`` holds m directions (m, d) and ``t`` m offsets (m,); a single (d,)
+    direction with a scalar offset gives a float.  One pass over the row
+    blocks of ``points`` accumulates each pair's event count, clipped gap sum
+    and masked point sum.  Strict inequality in the conditioning event
+    ``x . u > t``; an empty event gives 0.  ``u`` is taken as given (callers
+    pass unit directions).
     """
-    points = np.asarray(points, dtype=float)
+    x = np.asarray(points, dtype=float)
     u = np.asarray(u, dtype=float)
-    proj = points @ u
-    mask = proj > t
-    count = int(mask.sum())
-    if count == 0:
-        return 0.0
-    p = count / proj.shape[0]
-    cond_gap = float(np.mean(proj[mask] - t))
-    cond_mean = points[mask].mean(axis=0)
-    return p * p * cond_gap * math.sqrt(1.0 + float(cond_mean @ cond_mean))
+    dirs = np.atleast_2d(u)
+    offsets = np.atleast_1d(np.asarray(t, dtype=float))
+    n, m = x.shape[0], dirs.shape[0]
+    count = np.zeros(m)
+    gap = np.zeros(m)
+    point_sum = np.zeros(dirs.shape)
+    z_buf = _block_buffer(n, m)
+    hit_buf = _block_buffer(n, m)
+    for rows in _row_blocks(n):
+        xb = x[rows]
+        z = z_buf[: xb.shape[0]]
+        hit = hit_buf[: xb.shape[0]]
+        np.matmul(xb, dirs.T, out=z)
+        z -= offsets
+        np.greater(z, 0.0, out=hit)
+        np.maximum(z, 0.0, out=z)
+        count += hit.sum(axis=0)
+        gap += z.sum(axis=0)
+        point_sum += hit.T @ xb
+    # An empty event has zero sums, so dividing by one leaves its factor 0.
+    seen = np.maximum(count, 1.0)
+    mean = point_sum / seen[:, None]
+    p = count / n
+    out = p * p * (gap / seen) * np.sqrt(1.0 + np.sum(mean * mean, axis=1))
+    return float(out[0]) if u.ndim == 1 else out
 
 
-def g_empirical(points: np.ndarray, u: np.ndarray, t: float) -> float:
-    """min over the two orientations of the plug-in factor."""
+def g_empirical(points: np.ndarray, u: np.ndarray, t):
+    """min over the two orientations of the plug-in factor, per pair."""
     u = np.asarray(u, dtype=float)
-    return min(
-        tilde_g_empirical(points, u, t),
-        tilde_g_empirical(points, -u, -float(t)),
-    )
-
-
-# ---------------------------------------------------------------------------
-# the empirical weight as a callable g(u, t) -> float
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EmpiricalWeight:
-    """Plug-in weight over a fixed point cloud (typically the training inputs)."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[0] < 1:
-            raise ValueError(f"points must be a non-empty (n, d) array, got {pts.shape}")
-        object.__setattr__(self, "points", pts)
-
-    def __call__(self, u: np.ndarray, t: float) -> float:
-        return g_empirical(self.points, u, t)
+    return np.minimum(tilde_g_empirical(points, u, t), tilde_g_empirical(points, -u, -t))
 
 
 def _check_dim(d: int) -> int:

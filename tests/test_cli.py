@@ -97,6 +97,16 @@ class TestExitCodes:
             ("hardfn-verify", {"pair": [0]}),
             ("hardfn-verify", {"pair": [0, -1]}),
             ("hardfn-verify", {"pair": [0, 1.5]}),
+            ("train", {"sigma": True}),
+            ("train", {"train": {"eta": True}}),
+            ("sharpness", {**TINY_TRAIN, "certificate_rel_tol": True}),
+            ("hardfn-verify", {"eps": True}),
+            ("hardfn-verify", {"amplitude": True}),
+            # The pair indexes the built family: two members at 8 atoms.
+            ("hardfn-verify", {"pair": [0, 999], "n_atoms": 8}),
+            ("hardfn-verify", {"pair": [2, 0], "n_atoms": 8}),
+            # Fewer than 8 disjoint caps fit at this radius.
+            ("hardfn-verify", {"d": 2, "eps": 0.9}),
         ],
     )
     def test_bad_values_rejected_before_the_run(self, command, raw, tmp_path):
@@ -104,6 +114,13 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_negative_seed_rejected_before_the_run(self, command, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main([command, "--seed", "-1", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "--seed must be an integer >= 0, got -1" in capsys.readouterr().err
 
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as info:

@@ -1,4 +1,4 @@
-"""Golden artifact hashes of four small CLI runs.
+"""Golden artifact hashes of five small CLI runs.
 
 A change that claims to leave the numbers alone must reproduce these bytes.
 A change that moves floats on purpose (a reordered reduction, say) says so in
@@ -40,9 +40,15 @@ RUNS = {
         1,
         {"d": 3, "eps": 0.2, "n_atoms": 8, "n_obs": 20, "mc_trials": 2000, "l2_samples": 40000},
     ),
+    # One trained cell and its flatness certificate.
+    "sharpness": ("sharpness", 4, {"d": 3, "n": 64, "train": {"eta": 0.1, "epochs": 300}}),
 }
 
 GOLDEN = {
+    "sharpness": {
+        "checkpoint.bin": "4c2fa045f4fdd1969efba5ffb4c8c2a071a22d632c31ee15b2325d866ff436bb",
+        "sharpness.json": "5e5281df2c584146b659df91eebc9ebd3680a2494e5caf1d371e4ded5acb3868",
+    },
     "hardfn": {
         "hardfn.json": "204310ffc3814947feac3056d782a0d877b43bce90828023fa019d34e197b774",
     },

@@ -139,6 +139,30 @@ class TestConfigHash:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             make(**{**valid[make], field: value})
 
+    @pytest.mark.parametrize(
+        "make,field",
+        [(TrainConfig, "eta"), (TrainConfig, "weight_decay"), (SweepConfig, "sigma"),
+         (ShatterConfig, "eta_large")],
+    )
+    def test_boolean_float_fields_rejected(self, make, field):
+        # True would otherwise run as 1.0 under a config hash of its own.
+        valid = {TrainConfig: dict(eta=0.1, epochs=1), SweepConfig: self.BASE, ShatterConfig: {}}
+        with pytest.raises(ValueError, match=f"{field} must be a number"):
+            make(**{**valid[make], field: True})
+
+    def test_integer_float_fields_stay_integers(self):
+        cfg = SweepConfig(**{**self.BASE, "sigma": 1})
+        assert cfg.sigma == 1 and isinstance(cfg.sigma, int)
+
+    @pytest.mark.parametrize(
+        "make,field",
+        [(TrainConfig, "seed"), (SweepConfig, "master_seed"), (ShatterConfig, "master_seed")],
+    )
+    def test_negative_seed_rejected(self, make, field):
+        valid = {TrainConfig: dict(eta=0.1, epochs=1), SweepConfig: self.BASE, ShatterConfig: {}}
+        with pytest.raises(ValueError, match=f"{field} must be >= 0"):
+            make(**{**valid[make], field: -1})
+
 
 class TestRunRecordInvariants:
     FIELDS = dict(

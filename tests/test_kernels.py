@@ -4,9 +4,12 @@ The kernels work through the rows of ``x`` in blocks of ``ROW_BLOCK``; the
 references below hold every (n, K) array whole, as the formulas read.  The
 gradient and Hessian-vector sums accumulate in another order, so they agree
 to a relative 1e-13; every forward value is a per-row product and every
-activation fraction an exact count, so those agree bit for bit.
+activation fraction an exact count, so those agree bit for bit.  The
+empirical weight takes all its directions in one blocked pass; its reference
+takes one direction at a time, as the flatness certificate once did.
 """
 
+import math
 import tracemalloc
 import warnings
 
@@ -21,11 +24,18 @@ from relulab.nets import (
     loss_gradient,
     pack_params,
     param_count,
+    to_reduced_form,
 )
 from relulab.numerics import make_rng, sample_uniform_ball
-from relulab.sharpness import ActivationBoundaryWarning, make_hessian_operator
+from relulab.sharpness import (
+    ActivationBoundaryWarning,
+    make_hessian_operator,
+    regularity_certificate,
+    term_a_lower_bound,
+)
 from relulab.shattering import neuron_stats
 from relulab.training import TrainConfig, gd_step_flat
+from relulab.weights import g_empirical, tilde_g_empirical
 
 REL_TOL = 1e-13
 
@@ -69,6 +79,34 @@ def _reference_hvp(net, x, y, vec, gauss_newton_only):
         hb = hb - vv * ract.sum(axis=0) / n
         hv = hv + core.T @ r / n
     return np.concatenate([hw.ravel(), hb, hv, [s.mean()]])
+
+
+def _reference_tilde_g(points, u, t):
+    """The plug-in one-sided factor of one direction."""
+    proj = points @ u
+    mask = proj > t
+    count = int(mask.sum())
+    if count == 0:
+        return 0.0
+    p = count / proj.shape[0]
+    cond_gap = float(np.mean(proj[mask] - t))
+    cond_mean = points[mask].mean(axis=0)
+    return p * p * cond_gap * math.sqrt(1.0 + float(cond_mean @ cond_mean))
+
+
+def _reference_g(points, u, t):
+    return min(_reference_tilde_g(points, u, t), _reference_tilde_g(points, -u, -t))
+
+
+def _reference_term_a(net, x):
+    norms = np.linalg.norm(net.w, axis=1)
+    total = 1.0
+    for k in range(net.width):
+        nk = norms[k]
+        if nk == 0.0 or net.v[k] == 0.0:
+            continue
+        total += 2.0 * abs(net.v[k]) * nk * _reference_tilde_g(x, net.w[k] / nk, net.b[k] / nk)
+    return total
 
 
 def _instance(n, d=3, k=40, seed=0):
@@ -190,3 +228,79 @@ def test_hessian_operator_build_keeps_one_activation_array():
     finally:
         tracemalloc.stop()
     assert (peak - base) / 2**20 <= 14.0
+
+
+def _directions(n, d, m=40):
+    """Points and (u, t) pairs with the edge cases of the plug-in factor:
+    a point exactly on the first threshold, x_0 = (0.5, 0, ...) against
+    (e_1, 0.5); a duplicate pair; an empty event; an event holding every
+    point."""
+    rng = make_rng(100 * d + n)
+    x = sample_uniform_ball(rng, d, n)
+    x[0] = 0.0
+    x[0, 0] = 0.5
+    u = rng.standard_normal((m, d))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    t = rng.uniform(-1.0, 1.0, m)
+    u[0] = 0.0
+    u[0, 0] = 1.0
+    t[0] = 0.5
+    u[2], t[2] = u[1], t[1]
+    t[3] = 1.5
+    t[4] = -1.5
+    return x, u, t
+
+
+@pytest.mark.parametrize("d", [1, 3, 10])
+@pytest.mark.parametrize("n", SIZES)
+def test_blocked_empirical_weight_matches_per_direction_reference(n, d):
+    x, u, t = _directions(n, d)
+    assert x[0] @ u[0] == t[0]
+    one_sided = tilde_g_empirical(x, u, t)
+    both = g_empirical(x, u, t)
+    ref_one = np.array([_reference_tilde_g(x, uj, tj) for uj, tj in zip(u, t)])
+    ref_both = np.array([_reference_g(x, uj, tj) for uj, tj in zip(u, t)])
+    np.testing.assert_allclose(one_sided, ref_one, rtol=1e-10, atol=0.0)
+    np.testing.assert_allclose(both, ref_both, rtol=1e-10, atol=0.0)
+    assert one_sided[3] == 0.0 and both[4] == 0.0
+    assert one_sided[1] == pytest.approx(one_sided[2], rel=1e-12)
+    # A single direction takes the same path and comes back as a float.
+    single = tilde_g_empirical(x, u[5], t[5])
+    assert isinstance(single, float)
+    assert single == pytest.approx(one_sided[5], rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [ROW_BLOCK - 1, 2 * ROW_BLOCK + 2])
+def test_term_a_and_certificate_lhs_match_per_neuron_references(n):
+    net, data, _ = _instance(n)
+    w, b, v = net.w.copy(), net.b.copy(), net.v.copy()
+    w[3] = 0.0                          # a zero-direction neuron
+    v[4] = 0.0                          # a neuron with no output weight
+    w[6], b[6] = 2.0 * w[5], 2.0 * b[5]  # a duplicate atom
+    net = TwoLayerNet(w=w, b=b, v=v, beta=net.beta)
+    x = data.inputs
+    ref_a = _reference_term_a(net, x)
+    assert term_a_lower_bound(net, data) == pytest.approx(ref_a, rel=1e-12)
+
+    rf = to_reduced_form(net)
+    ref_lhs = sum(abs(a) * _reference_g(x, u, t) for a, u, t in zip(rf.a, rf.u, rf.t))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ActivationBoundaryWarning)
+        cert = regularity_certificate(net, data, rel_tol=1e-4, rng=0)
+    assert cert.lhs == pytest.approx(ref_lhs, rel=1e-12)
+    assert cert.term_a_bound == pytest.approx(ref_a, rel=1e-12)
+
+
+def test_empirical_weight_allocates_a_few_blocks_not_whole_projections():
+    # At the shattering shape two (ROW_BLOCK + 1, m) buffers per orientation
+    # come to about 2 MiB; one whole (n, m) projection is 8 MiB.
+    d, n, m = 10, 512, 2048
+    x, u, t = _directions(n, d, m)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        g_empirical(x, u, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - base) / 2**20 <= 4.0

@@ -20,7 +20,6 @@ from scipy import integrate
 
 from relulab.numerics import make_rng, sample_uniform_ball
 from relulab.weights import (
-    EmpiricalWeight,
     cap_moment,
     conditional_mean_constants,
     g_analytic,
@@ -265,10 +264,3 @@ class TestEmpiricalWeight:
         ref = g_analytic(2, 0.4)
         assert val == pytest.approx(ref, rel=0.1)
 
-
-class TestVariantObjects:
-    def test_empirical_object_validates(self):
-        with pytest.raises(ValueError):
-            EmpiricalWeight(points=np.zeros((0, 2)))
-        g = EmpiricalWeight(points=np.array([[0.5], [-0.5]]))
-        assert g(np.array([1.0]), 0.0) == pytest.approx(math.sqrt(5.0) / 16.0, rel=1e-12)
