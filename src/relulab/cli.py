@@ -30,6 +30,7 @@ from .harness import (
 )
 from .hardfn import (
     HardFamily,
+    SignFamily,
     atom_l2_constants,
     atom_l2_norm,
     ball_volume,
@@ -225,17 +226,33 @@ def _execute_sharpness(prepared, args) -> int:
     return 0
 
 
+@dataclasses.dataclass(frozen=True)
+class _Job:
+    """A validated config and the family built from it.  vgnorm and
+    hardfn-verify build theirs while preparing, so a family too large to
+    search exits 2 before --out exists."""
+
+    config: dict
+    family: SignFamily | HardFamily
+
+    def as_dict(self) -> dict:
+        return self.config
+
+
 def _prepare_vgnorm(raw: dict, args):
     merged = _merge({"code_length": 16, "target": None}, raw, "config")
     _check_count("code_length", merged["code_length"], 8)
     if merged["target"] is not None:
         _check_count("target", merged["target"], 1)
-    return merged
+    code = varshamov_gilbert(
+        merged["code_length"], rng=derive_rng(args.seed, 0), target=merged["target"]
+    )
+    return _Job(merged, code)
 
 
-def _execute_vgnorm(merged: dict, args) -> int:
+def _execute_vgnorm(job, args) -> int:
+    merged, family = job.config, job.family
     k = merged["code_length"]
-    family = varshamov_gilbert(k, rng=derive_rng(args.seed, 0), target=merged["target"])
     diffs = family.bits[:, None, :] != family.bits[None, :, :]
     pair_dist = diffs.sum(axis=2)
     audit = int(pair_dist[np.triu_indices(family.size, k=1)].min()) if family.size > 1 else k
@@ -286,21 +303,10 @@ def _prepare_hardfn(raw: dict, args):
     )
     if max(pair) >= family.size:
         raise ConfigError(f"pair {pair} out of range for family of size {family.size}")
-    return _HardfnJob(merged, family)
+    return _Job(merged, family)
 
 
-@dataclasses.dataclass(frozen=True)
-class _HardfnJob:
-    """A validated hardfn-verify config and the family it indexes."""
-
-    config: dict
-    family: HardFamily
-
-    def as_dict(self) -> dict:
-        return self.config
-
-
-def _execute_hardfn(job: _HardfnJob, args) -> int:
+def _execute_hardfn(job, args) -> int:
     merged, family = job.config, job.family
     d, eps = merged["d"], merged["eps"]
     i, j = merged["pair"]

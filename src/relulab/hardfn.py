@@ -31,6 +31,7 @@ __all__ = [
     "CapPacking",
     "pack_caps",
     "SignFamily",
+    "MAX_CODE_WORDS",
     "varshamov_gilbert",
     "HardFamily",
     "build_hard_family",
@@ -213,13 +214,21 @@ def _bits_from_int(word: int, k: int) -> np.ndarray:
     return np.array([(word >> j) & 1 for j in range(k)], dtype=np.uint8)
 
 
+# The greedy search compares each candidate with every accepted word, so its
+# cost grows as target^2: 1024 words take about 2 s on one x86-64 core, and
+# the pairwise Hamming audits of a code that size hold about 84 MB of bools at
+# k = 80.
+MAX_CODE_WORDS = 1024
+
+
 def varshamov_gilbert(k: int, rng=None, target: int | None = None) -> SignFamily:
     """Greedy code over {0, 1}^k with minimum distance ceil(k / 8).
 
     Stops once ceil(2^(k/8)) words are found (the counting bound guarantees
     a maximal code is at least that large, so the exhaustive scan used for
     k <= 24 always succeeds).  Larger k falls back to randomized greedy
-    with restarts.
+    with restarts.  A target above :data:`MAX_CODE_WORDS` (k > 80 by
+    default) raises ``ValueError``.
     """
     if k < 1:
         raise ValueError(f"code length must be >= 1, got {k}")
@@ -228,6 +237,10 @@ def varshamov_gilbert(k: int, rng=None, target: int | None = None) -> SignFamily
         target = math.ceil(2.0 ** (k / 8.0))
     if target < 1:
         raise ValueError(f"target must be >= 1, got {target}")
+    if target > MAX_CODE_WORDS:
+        raise ValueError(
+            f"a code of {target} words exceeds the search limit of {MAX_CODE_WORDS} words"
+        )
 
     if k <= 24:
         accepted = [0]

@@ -31,6 +31,7 @@ from .numerics import (
     loglog_slope,
     make_rng,
     sample_uniform_ball,
+    write_csv,
 )
 from .shattering import NeuronStats, neuron_stats, neuron_stats_to_csv, shattering_report
 from .sharpness import sharpness
@@ -71,22 +72,6 @@ MSE_MODES = ("in_sample_vs_f0", "holdout_vs_f0", "both")
 EPOCH_PRESETS = ("appendix-A1", "appendix-A2")
 
 SWEEP_SCHEMA = "sweep-v1"
-SWEEP_CSV_COLUMNS = (
-    "config_hash",
-    "d",
-    "n",
-    "seed",
-    "width",
-    "final_train_loss",
-    "in_sample_mse_vs_f0",
-    "holdout_mse_vs_f0",
-    "generalization_gap",
-    "final_sharpness",
-    "median_activation",
-    "sparse_neuron_share",
-    "dead_neuron_share",
-)
-FAILURE_CSV_COLUMNS = ("d", "n", "seed", "error")
 
 # Per-cell random streams.  Every stream derives from
 # (master_seed, d, n, seed_index, channel) so results never depend on the
@@ -205,6 +190,11 @@ class CellFailure:
     n: int
     seed: int
     error: str
+
+
+# The CSV columns are the record fields, in declaration order.
+SWEEP_CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(RunRecord))
+FAILURE_CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(CellFailure))
 
 
 @dataclass(frozen=True)
@@ -333,8 +323,8 @@ def _median_table(cfg: SweepConfig, records) -> dict:
             if not cell:
                 continue
             medians[(d, n)] = {
-                "in_sample_mse_vs_f0": float(np.median([r.in_sample_mse_vs_f0 for r in cell])),
-                "holdout_mse_vs_f0": float(np.median([r.holdout_mse_vs_f0 for r in cell])),
+                column: float(np.median([getattr(r, column) for r in cell]))
+                for column in _MODE_COLUMNS.values()
             }
     return medians
 
@@ -346,7 +336,7 @@ _MODE_COLUMNS = {
 
 
 def _slope_table(cfg: SweepConfig, medians: dict) -> dict:
-    modes = ("in_sample_vs_f0", "holdout_vs_f0") if cfg.mse_mode == "both" else (cfg.mse_mode,)
+    modes = tuple(_MODE_COLUMNS) if cfg.mse_mode == "both" else (cfg.mse_mode,)
     slopes = {}
     for mode in modes:
         column = _MODE_COLUMNS[mode]
@@ -490,23 +480,9 @@ def run_shattering_experiment(cfg: ShatterConfig) -> ShatterResult:
     return result
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _record_row(record: RunRecord) -> list:
-    return [_format_cell(getattr(record, col)) for col in SWEEP_CSV_COLUMNS]
-
-
 def write_sweep_csv(path, records) -> None:
     """Write header plus one row per record, replacing any existing file."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_CSV_COLUMNS)
-        for record in records:
-            writer.writerow(_record_row(record))
+    write_csv(path, SWEEP_CSV_COLUMNS, map(dataclasses.astuple, records))
 
 
 def append_sweep_records(path, records) -> None:
@@ -524,18 +500,7 @@ def append_sweep_records(path, records) -> None:
         raise SchemaMismatchError(
             f"{path} has columns {header}, expected {list(SWEEP_CSV_COLUMNS)} ({SWEEP_SCHEMA})"
         )
-    with open(path, "a", newline="") as fh:
-        writer = csv.writer(fh)
-        for record in records:
-            writer.writerow(_record_row(record))
-
-
-def _write_failures_csv(path, failures) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FAILURE_CSV_COLUMNS)
-        for failure in failures:
-            writer.writerow([failure.d, failure.n, failure.seed, failure.error])
+    write_csv(path, SWEEP_CSV_COLUMNS, map(dataclasses.astuple, records), append=True)
 
 
 def _sha256_file(path) -> str:
@@ -580,7 +545,11 @@ def write_manifest(directory, config_dict: dict, filenames) -> str:
 def _persist_sweep(cfg: SweepConfig, result: SweepResult) -> None:
     os.makedirs(cfg.output_dir, exist_ok=True)
     write_sweep_csv(os.path.join(cfg.output_dir, "sweep.csv"), result.records)
-    _write_failures_csv(os.path.join(cfg.output_dir, "failures.csv"), result.failures)
+    write_csv(
+        os.path.join(cfg.output_dir, "failures.csv"),
+        FAILURE_CSV_COLUMNS,
+        map(dataclasses.astuple, result.failures),
+    )
     summary = {
         "slopes": {
             mode: {str(d): slope for d, slope in per_d.items()}

@@ -282,11 +282,12 @@ def to_reduced_form(net: TwoLayerNet) -> ReducedForm:
     ``t = b / ||w||`` (positive homogeneity of the ReLU).  Neurons that are
     never active on the ball (``t > 1``) are dropped, neurons that are always
     active (``t < -1``) fold into the affine remainder, and zero-direction
-    neurons fold their constant value into ``c0``.  Exact-duplicate atoms
-    (componentwise within 1e-12) merge by summing coefficients; merged atoms
-    with coefficient exactly zero are dropped.
+    neurons fold their constant value into ``c0``.  Duplicate atoms merge by
+    summing coefficients: after a lexicographic sort of the (u, t) rows, a
+    row within 1e-12 (componentwise) of the row before it joins that row's
+    run, so a chain of close rows merges even when its ends are further
+    apart.  Merged atoms with coefficient exactly zero are dropped.
     """
-    d = net.input_dim
     norms = np.linalg.norm(net.w, axis=1)
     live = norms > 0.0
     nk = norms[live]
@@ -304,35 +305,21 @@ def to_reduced_form(net: TwoLayerNet) -> ReducedForm:
     aa = a[kept]
 
     # Group duplicates: lexicographic sort puts equal (u, t) rows next to each
-    # other, then a linear walk merges runs within the tolerance.
+    # other, and a run breaks where a row differs from the one before it by
+    # more than the tolerance.
     key = np.column_stack([ua, ta])
     order = np.lexsort(key.T[::-1])
-    groups: list[list[int]] = []
-    for idx in order:
-        if groups and np.max(np.abs(key[groups[-1][0]] - key[idx])) <= _DUPLICATE_ATOL:
-            groups[-1].append(idx)
-        else:
-            groups.append([idx])
+    breaks = np.ones(order.size, dtype=bool)
+    breaks[1:] = np.max(np.abs(np.diff(key[order], axis=0)), axis=1) > _DUPLICATE_ATOL
+    starts = np.flatnonzero(breaks)
+    coeff = np.add.reduceat(aa[order], starts)
+    lead = np.minimum.reduceat(order, starts)
 
     # Deterministic output order: first occurrence in the original network.
-    groups.sort(key=min)
-    out_a, out_u, out_t = [], [], []
-    for grp in groups:
-        coeff = float(aa[grp].sum())
-        if coeff == 0.0:
-            continue
-        lead = min(grp)
-        out_a.append(coeff)
-        out_u.append(ua[lead])
-        out_t.append(ta[lead])
-
-    return ReducedForm(
-        a=np.asarray(out_a),
-        u=np.asarray(out_u) if out_u else np.zeros((0, d)),
-        t=np.asarray(out_t),
-        c=c,
-        c0=c0,
-    )
+    rank = np.argsort(lead)
+    kept_runs = rank[coeff[rank] != 0.0]
+    lead = lead[kept_runs]
+    return ReducedForm(a=coeff[kept_runs], u=ua[lead], t=ta[lead], c=c, c0=c0)
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,14 @@ Everything stochastic in this package flows through an explicitly seeded
 alone.  The module also provides the uniform-ball sampler used throughout, a
 matrix-free power iteration that returns the largest *algebraic* eigenvalue
 of a symmetric operator, an ordinary least squares slope fit in log-log
-coordinates, and the finiteness check that configs and records run on their
-float fields, with its counterpart for their integer fields.
+coordinates, the finiteness check that configs and records run on their
+float fields, with its counterpart for their integer fields, and the one
+writer of every CSV table.
 """
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import math
 import numbers
@@ -29,6 +31,7 @@ __all__ = [
     "check_finite_fields",
     "is_integer",
     "check_int_fields",
+    "write_csv",
 ]
 
 
@@ -240,3 +243,18 @@ def check_int_fields(obj) -> None:
         value = getattr(obj, field.name)
         if field.type == "int" and not is_integer(value):
             raise ValueError(f"{field.name} must be an integer, got {value!r}")
+
+
+def write_csv(path, columns, rows, append=False) -> None:
+    """Write the header ``columns`` (unless ``append`` adds rows to an
+    existing table), then one line per row.  Floats, numpy's included, are
+    written as ``repr(float(v))`` so they read back exactly; every other
+    value goes through ``str``."""
+    with open(path, "a" if append else "w", newline="") as fh:
+        writer = csv.writer(fh)
+        if not append:
+            writer.writerow(columns)
+        writer.writerows(
+            [repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row]
+            for row in rows
+        )

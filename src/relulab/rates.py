@@ -20,9 +20,10 @@ Kinds:
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from fractions import Fraction
+
+from relulab.numerics import write_csv
 
 __all__ = [
     "RATE_KINDS",
@@ -97,8 +98,4 @@ def exponent_table(d_values=range(1, 11)) -> list[dict]:
 
 def exponent_table_to_csv(path, d_values=range(1, 11)) -> None:
     """Rates written as exact fraction strings (e.g. ``4/11``)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["d", *RATE_KINDS])
-        for row in exponent_table(d_values):
-            writer.writerow([row["d"], *(str(row[kind]) for kind in RATE_KINDS)])
+    write_csv(path, ("d", *RATE_KINDS), (row.values() for row in exponent_table(d_values)))

@@ -10,12 +10,12 @@ path-norm magnitude |v_k| ||w_k||, and its normalized offset b_k / ||w_k||
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from relulab.nets import TwoLayerNet, _preact_blocks
+from relulab.numerics import write_csv
 
 __all__ = [
     "NeuronStats",
@@ -93,15 +93,8 @@ def shattering_report(stats: NeuronStats, sparse_threshold: float = 0.10) -> Sha
 def neuron_stats_to_csv(stats: NeuronStats, path) -> None:
     """One row per neuron: neuron_id, activation_fraction, magnitude, t
     (the normalized offset; NaN prints as ``nan``)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["neuron_id", "activation_fraction", "magnitude", "t"])
-        for i in range(stats.width):
-            writer.writerow(
-                [
-                    i,
-                    repr(float(stats.activation_fraction[i])),
-                    repr(float(stats.magnitude[i])),
-                    repr(float(stats.offset[i])),
-                ]
-            )
+    write_csv(
+        path,
+        ("neuron_id", "activation_fraction", "magnitude", "t"),
+        zip(range(stats.width), stats.activation_fraction, stats.magnitude, stats.offset),
+    )

@@ -13,13 +13,12 @@ flags describe the step that produced the state, so they land on epoch
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from relulab.nets import Dataset, TwoLayerNet, _grad_flat, loss, pack_params, unpack_params
-from relulab.numerics import check_finite_fields, check_int_fields, make_rng
+from relulab.numerics import check_finite_fields, check_int_fields, make_rng, write_csv
 from relulab.sharpness import sharpness
 
 __all__ = [
@@ -190,17 +189,11 @@ def train_log_to_csv(log: TrainLog, path) -> None:
     telemetry epochs; floats are written with full round-trip precision."""
     sharp = dict(log.sharpness_events)
     clipped = set(log.clip_epochs)
-    epochs = len(log.losses)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "loss", "sharpness", "clipped"])
-        for t in range(epochs + 1):
-            loss_val = log.final_loss if t == epochs else log.losses[t]
-            writer.writerow(
-                [
-                    t,
-                    repr(float(loss_val)),
-                    repr(float(sharp[t])) if t in sharp else "",
-                    int(t in clipped),
-                ]
-            )
+    write_csv(
+        path,
+        ("epoch", "loss", "sharpness", "clipped"),
+        (
+            (t, loss_val, sharp.get(t, ""), int(t in clipped))
+            for t, loss_val in enumerate([*log.losses, log.final_loss])
+        ),
+    )

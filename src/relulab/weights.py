@@ -30,7 +30,7 @@ import math
 import numpy as np
 from scipy import special
 
-from relulab.nets import _block_buffer, _row_blocks
+from relulab.nets import _block_buffer, _preact_blocks
 
 __all__ = [
     "marginal_pdf_constant",
@@ -207,19 +207,14 @@ def tilde_g_empirical(points: np.ndarray, u: np.ndarray, t):
     count = np.zeros(m)
     gap = np.zeros(m)
     point_sum = np.zeros(dirs.shape)
-    z_buf = _block_buffer(n, m)
     hit_buf = _block_buffer(n, m)
-    for rows in _row_blocks(n):
-        xb = x[rows]
-        z = z_buf[: xb.shape[0]]
-        hit = hit_buf[: xb.shape[0]]
-        np.matmul(xb, dirs.T, out=z)
-        z -= offsets
+    for rows, z in _preact_blocks(x, dirs, offsets):
+        hit = hit_buf[: z.shape[0]]
         np.greater(z, 0.0, out=hit)
         np.maximum(z, 0.0, out=z)
         count += hit.sum(axis=0)
         gap += z.sum(axis=0)
-        point_sum += hit.T @ xb
+        point_sum += hit.T @ x[rows]
     # An empty event has zero sums, so dividing by one leaves its factor 0.
     seen = np.maximum(count, 1.0)
     mean = point_sum / seen[:, None]

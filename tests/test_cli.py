@@ -107,6 +107,9 @@ class TestExitCodes:
             ("hardfn-verify", {"pair": [2, 0], "n_atoms": 8}),
             # Fewer than 8 disjoint caps fit at this radius.
             ("hardfn-verify", {"d": 2, "eps": 0.9}),
+            # Codes beyond the greedy search's word limit.
+            ("vgnorm", {"code_length": 200}),
+            ("hardfn-verify", {"d": 5}),
         ],
     )
     def test_bad_values_rejected_before_the_run(self, command, raw, tmp_path):

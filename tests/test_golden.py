@@ -1,4 +1,4 @@
-"""Golden artifact hashes of five small CLI runs.
+"""Golden artifact hashes of seven small CLI runs.
 
 A change that claims to leave the numbers alone must reproduce these bytes.
 A change that moves floats on purpose (a reordered reduction, say) says so in
@@ -42,9 +42,19 @@ RUNS = {
     ),
     # One trained cell and its flatness certificate.
     "sharpness": ("sharpness", 4, {"d": 3, "n": 64, "train": {"eta": 0.1, "epochs": 300}}),
+    # The separated sign family at its defaults.
+    "vgnorm": ("vgnorm", 0, {}),
+    # The exact exponent table, the one table of fraction strings.
+    "rates": ("rates", 0, {"dims": [1, 2, 3]}),
 }
 
 GOLDEN = {
+    "vgnorm": {
+        "vgnorm.json": "0ff196a615e77eddc07d5d19c44691984036e4068cb5a3bdd3208bc29e3ad9bf",
+    },
+    "rates": {
+        "rates.csv": "757b70c62a22db7bde6650c868f12c9790cabc63da7d1b36c83f6ee0e792a62c",
+    },
     "sharpness": {
         "checkpoint.bin": "4c2fa045f4fdd1969efba5ffb4c8c2a071a22d632c31ee15b2325d866ff436bb",
         "sharpness.json": "5e5281df2c584146b659df91eebc9ebd3680a2494e5caf1d371e4ded5acb3868",

@@ -8,6 +8,7 @@ from scipy.special import beta as beta_fn
 
 from relulab.hardfn import (
     CapPacking,
+    MAX_CODE_WORDS,
     HardFamily,
     SignFamily,
     atom_l2_constants,
@@ -161,6 +162,14 @@ class TestSignFamily:
         for i in range(fam.size):
             for j in range(i + 1, fam.size):
                 assert int(np.sum(bits[i] != bits[j])) >= 5
+
+    def test_codes_beyond_the_word_limit_are_rejected(self):
+        # k = 88 asks for 2^11 words by default; the greedy search would run
+        # for about 9 s.
+        with pytest.raises(ValueError, match="search limit"):
+            varshamov_gilbert(88, rng=make_rng(0))
+        with pytest.raises(ValueError, match="search limit"):
+            varshamov_gilbert(16, target=MAX_CODE_WORDS + 1)
 
     def test_deterministic_exhaustive_path(self):
         a = varshamov_gilbert(16)

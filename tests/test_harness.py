@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import relulab
+from relulab import harness
 from relulab.harness import (
     HOLDOUT_CHANNEL,
     INIT_CHANNEL,
@@ -18,6 +19,7 @@ from relulab.harness import (
     SchemaMismatchError,
     ShatterConfig,
     SweepConfig,
+    SweepResult,
     append_sweep_records,
     cell_rng,
     config_hash,
@@ -350,6 +352,19 @@ class TestSweepCsvSchema:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(SchemaMismatchError):
             append_sweep_records(path, [self._record(0)])
+
+    def test_numpy_scalars_are_written_as_plain_numbers(self, tmp_path):
+        """A metric computed by numpy must read back: ``0.25``, not
+        ``np.float64(0.25)``."""
+        numpy_fields = {"d": np.int64(3), "final_train_loss": np.float64(0.25)}
+        record = RunRecord(**{**TestRunRecordInvariants.FIELDS, **numpy_fields})
+        failure = CellFailure(d=np.int64(3), n=np.int64(8), seed=np.int64(1), error="diverged")
+        result = SweepResult(records=(record,), failures=(failure,), medians={}, slopes={})
+        harness._persist_sweep(_smoke_config(output_dir=str(tmp_path)), result)
+        row = (tmp_path / "sweep.csv").read_text().splitlines()[1].split(",")
+        assert row[SWEEP_CSV_COLUMNS.index("d")] == "3"
+        assert row[SWEEP_CSV_COLUMNS.index("final_train_loss")] == "0.25"
+        assert (tmp_path / "failures.csv").read_text().splitlines()[1] == "3,8,1,diverged"
 
 
 class TestShatteringExperiment:

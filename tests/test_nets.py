@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relulab.nets import (
+    _DUPLICATE_ATOL,
     Dataset,
     TwoLayerNet,
     forward,
@@ -120,7 +121,84 @@ class TestDatasetValidation:
             Dataset(inputs=[[0.1, 0.2]], labels=[0.0, 1.0])
 
 
+def _kept_atoms_by_walk(net):
+    """Oracle for the kept atoms of ``to_reduced_form``: the original
+    neuron-by-neuron walk, where a run holds the rows within the tolerance
+    of the run's first row.  Returns (a, u, t)."""
+    norms = np.linalg.norm(net.w, axis=1)
+    live = norms > 0.0
+    u = net.w[live] / norms[live][:, None]
+    t = net.b[live] / norms[live]
+    a = net.v[live] * norms[live]
+    kept = np.abs(t) <= 1.0
+    ua, ta, aa = u[kept], t[kept], a[kept]
+    key = np.column_stack([ua, ta])
+    groups = []
+    for idx in np.lexsort(key.T[::-1]):
+        if groups and np.max(np.abs(key[groups[-1][0]] - key[idx])) <= _DUPLICATE_ATOL:
+            groups[-1].append(idx)
+        else:
+            groups.append([idx])
+    groups.sort(key=min)
+    out = [(float(aa[g].sum()), min(g)) for g in groups]
+    out = [(coeff, lead) for coeff, lead in out if coeff != 0.0]
+    lead = np.array([lead for _, lead in out], dtype=int)
+    return np.array([coeff for coeff, _ in out]), ua[lead], ta[lead]
+
+
+def _net_with_duplicates(rng, d, width):
+    """A random net whose neurons are repeated: exact copies, copies about
+    1e-13 away, and copies whose outer weight cancels the original's."""
+    w = rng.standard_normal((width, d))
+    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    b = rng.uniform(-1.2, 1.2, width)
+    v = rng.standard_normal(width)
+    pick = rng.integers(0, width, size=(3, width // 3))
+    near = 1e-13 * rng.uniform(-1.0, 1.0, (width // 3, d + 1))
+    w = np.vstack([w, w[pick[0]], w[pick[1]] + near[:, :d], w[pick[2]]])
+    b = np.concatenate([b, b[pick[0]], b[pick[1]] + near[:, d], b[pick[2]]])
+    v = np.concatenate([v, rng.standard_normal(width // 3), v[pick[1]], -v[pick[2]]])
+    perm = rng.permutation(w.shape[0])
+    return TwoLayerNet(w=w[perm], b=b[perm], v=v[perm], beta=0.0)
+
+
 class TestReducedForm:
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_merge_matches_the_walk(self, d, seed):
+        net = _net_with_duplicates(make_rng(100 * d + seed), d, 60)
+        rf = to_reduced_form(net)
+        a, u, t = _kept_atoms_by_walk(net)
+        # A run of three or more adds in another order than ndarray.sum, so
+        # merged coefficients agree to rounding; the atoms themselves agree
+        # exactly.
+        np.testing.assert_allclose(rf.a, a, rtol=1e-12, atol=1e-15)
+        np.testing.assert_array_equal(rf.u, u)
+        np.testing.assert_array_equal(rf.t, t)
+
+    def test_no_kept_atoms_matches_the_walk(self):
+        # t = 3 is never active, t = -3 always active, w = 0 constant.
+        net = TwoLayerNet(
+            w=[[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], b=[3.0, -3.0, 0.5], v=[1.0, 2.0, 3.0], beta=0.0
+        )
+        rf = to_reduced_form(net)
+        a, u, t = _kept_atoms_by_walk(net)
+        assert rf.a.shape == (0,) and rf.u.shape == (0, 2) and rf.t.shape == (0,)
+        assert a.size == 0 and u.shape == (0, 2)
+
+    def test_a_chain_of_close_rows_merges_into_one_atom(self):
+        # Each offset is within the tolerance of the one before it, the ends
+        # are not: a run continues row to row, not from its first row.
+        step = 0.8 * _DUPLICATE_ATOL
+        net = TwoLayerNet(
+            w=[[1.0]] * 3, b=[0.3, 0.3 + step, 0.3 + 2 * step], v=[1.0, 2.0, 4.0], beta=0.0
+        )
+        rf = to_reduced_form(net)
+        assert rf.n_atoms == 1
+        assert rf.a[0] == 7.0
+        assert rf.t[0] == 0.3
+        assert _kept_atoms_by_walk(net)[0].size == 2
+
     def test_zero_direction_neuron_folds_to_constant(self):
         net = TwoLayerNet(w=[[0.0, 0.0]], b=[-0.3], v=[2.0], beta=0.1)
         rf = to_reduced_form(net)
