@@ -35,10 +35,11 @@ from .hardfn import (
     atom_l2_norm,
     ball_volume,
     build_hard_family,
+    hamming,
     indistinguishable_probability,
     indistinguishable_probability_mc,
     member_values,
-    pairwise_sq_distances,
+    pair_sq_distance,
     varshamov_gilbert,
 )
 from .nets import save_checkpoint
@@ -253,9 +254,9 @@ def _prepare_vgnorm(raw: dict, args):
 def _execute_vgnorm(job, args) -> int:
     merged, family = job.config, job.family
     k = merged["code_length"]
-    diffs = family.bits[:, None, :] != family.bits[None, :, :]
-    pair_dist = diffs.sum(axis=2)
-    audit = int(pair_dist[np.triu_indices(family.size, k=1)].min()) if family.size > 1 else k
+    # Each word against the words after it: no (M, M, k) array is built.
+    rows = family.bits
+    audit = min((int(hamming(w, rows[m + 1 :]).min()) for m, w in enumerate(rows[:-1])), default=k)
     required_distance = math.ceil(k / 8)
     required_size = merged["target"] or math.ceil(2 ** (k / 8))
     passed = audit >= required_distance and family.size >= required_size
@@ -316,7 +317,7 @@ def _execute_hardfn(job, args) -> int:
     scale = eps ** ((d + 5) / 2)
     atom_pass = lo * scale * (1.0 - 1e-9) <= atom <= hi * scale * (1.0 + 1e-9)
 
-    closed_dist = float(pairwise_sq_distances(family)[i, j])
+    closed_dist = pair_sq_distance(family, i, j)
     mc_rng = derive_rng(args.seed, 1)
     points = sample_uniform_ball(mc_rng, d, merged["l2_samples"])
     gap = member_values(family, i, points) - member_values(family, j, points)
@@ -325,8 +326,8 @@ def _execute_hardfn(job, args) -> int:
     dist_se = float(np.std(gap**2) * vol / np.sqrt(merged["l2_samples"]))
     dist_pass = abs(closed_dist - mc_dist) <= 4.0 * dist_se
 
-    hamming = int(np.sum(family.code.bits[i] != family.code.bits[j]))
-    q_closed = indistinguishable_probability(d, eps, hamming, merged["n_obs"])
+    h = int(hamming(family.code.bits[i], family.code.bits[j]))
+    q_closed = indistinguishable_probability(d, eps, h, merged["n_obs"])
     q_mc = indistinguishable_probability_mc(
         derive_rng(args.seed, 2), family, i, j, merged["n_obs"], merged["mc_trials"]
     )

@@ -13,6 +13,7 @@ the engine behind the dimension-cursed lower bounds.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -36,7 +37,8 @@ __all__ = [
     "HardFamily",
     "build_hard_family",
     "member_values",
-    "pairwise_sq_distances",
+    "hamming",
+    "pair_sq_distance",
     "indistinguishable_probability",
     "indistinguishable_probability_mc",
     "ball_volume",
@@ -73,7 +75,7 @@ def _slice_volume_constant(d: int) -> float:
     return math.pi ** ((d - 1) / 2) / gamma_fn((d + 1) / 2)
 
 
-def atom_l2_norm(d: int, eps: float, normalized: bool = False) -> float:
+def atom_l2_norm(d: int, eps: float) -> float:
     """Lebesgue L2 norm of one atom over the unit ball.
 
     Slicing perpendicular to ``u`` at height s = 1 - delta reduces the
@@ -81,15 +83,12 @@ def atom_l2_norm(d: int, eps: float, normalized: bool = False) -> float:
 
         I = V_{d-1} * int_0^{eps^2} (eps^2 - delta)^2 (delta (2 - delta))^((d-1)/2) d delta
 
-    = V_{d-1} * cap_moment(d, 2, eps^2), and the norm is sqrt(I).  With
-    ``normalized`` the atom is rescaled by eps^{-2} so its peak value is 1.
+    = V_{d-1} * cap_moment(d, 2, eps^2), and the norm is sqrt(I).
     """
     eps = _check_eps(eps)
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    e2 = eps * eps
-    norm = math.sqrt(_slice_volume_constant(d) * cap_moment(d, 2, e2))
-    return norm / e2 if normalized else norm
+    return math.sqrt(_slice_volume_constant(d) * cap_moment(d, 2, eps * eps))
 
 
 def atom_l2_constants(d: int) -> tuple[float, float]:
@@ -129,21 +128,15 @@ class CapPacking:
         return self.centers.shape[1]
 
 
-def pack_caps(
-    rng,
-    d: int,
-    eps: float,
-    target: int | None = None,
-    reject_budget: int | None = None,
-) -> CapPacking:
+def pack_caps(rng, d: int, eps: float, target: int | None = None) -> CapPacking:
     """Greedily pack cap centers with pairwise dot at most cos(2 theta),
     theta = arccos(1 - eps^2), so the atom supports cannot overlap.
 
     The signed standard basis vectors are tried first (they realize the
     maximal packing in the right-angle regime), then random directions.
     The search stops at ``target`` accepted centers or after a run of
-    ``reject_budget`` consecutive rejections (default 50 * target + 1000,
-    or 2000 when no target is given).
+    50 * target + 1000 consecutive rejections (2000 when no target is
+    given).
     """
     eps = _check_eps(eps)
     if d < 2:
@@ -152,11 +145,9 @@ def pack_caps(
         raise ValueError(f"target must be >= 1, got {target}")
     rng = make_rng(rng)
     cos_threshold = 2.0 * (1.0 - eps * eps) ** 2 - 1.0
-    if reject_budget is None:
-        reject_budget = 2000 if target is None else 50 * target + 1000
+    reject_budget = 2000 if target is None else 50 * target + 1000
 
-    accepted: list[np.ndarray] = []
-    accepted_arr = np.empty((0, d))
+    accepted = np.empty((0, d))
     rejects = 0
 
     def candidate_stream():
@@ -168,18 +159,17 @@ def pack_caps(
             yield from batch[keep] / norms[keep, None]
 
     for cand in candidate_stream():
-        if accepted and np.max(accepted_arr @ cand) > cos_threshold:
+        if len(accepted) and np.max(accepted @ cand) > cos_threshold:
             rejects += 1
             if rejects >= reject_budget:
                 break
             continue
-        accepted.append(cand)
-        accepted_arr = np.vstack([accepted_arr, cand[None, :]])
+        accepted = np.vstack([accepted, cand[None, :]])
         rejects = 0
         if target is not None and len(accepted) >= target:
             break
 
-    return CapPacking(centers=accepted_arr, eps=eps, cos_threshold=cos_threshold)
+    return CapPacking(centers=accepted, eps=eps, cos_threshold=cos_threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -210,14 +200,14 @@ class SignFamily:
         return 2.0 * self.bits - 1.0
 
 
-def _bits_from_int(word: int, k: int) -> np.ndarray:
-    return np.array([(word >> j) & 1 for j in range(k)], dtype=np.uint8)
+def hamming(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Hamming distance between bit rows, broadcast over leading axes."""
+    return np.count_nonzero(a != b, axis=-1)
 
 
 # The greedy search compares each candidate with every accepted word, so its
-# cost grows as target^2: 1024 words take about 2 s on one x86-64 core, and
-# the pairwise Hamming audits of a code that size hold about 84 MB of bools at
-# k = 80.
+# cost grows as target^2: 1024 words at k = 80 take about 0.1 s on one x86-64
+# core.
 MAX_CODE_WORDS = 1024
 
 
@@ -226,9 +216,10 @@ def varshamov_gilbert(k: int, rng=None, target: int | None = None) -> SignFamily
 
     Stops once ceil(2^(k/8)) words are found (the counting bound guarantees
     a maximal code is at least that large, so the exhaustive scan used for
-    k <= 24 always succeeds).  Larger k falls back to randomized greedy
-    with restarts.  A target above :data:`MAX_CODE_WORDS` (k > 80 by
-    default) raises ``ValueError``.
+    k <= 24 always succeeds).  Larger k scans uniform random words from
+    ``rng`` instead and raises ``RuntimeError`` after 200 * target
+    rejections in a row.  A target above :data:`MAX_CODE_WORDS` (k > 80 by
+    default) raises ``ValueError``.  Word bit j is letter j of the code.
     """
     if k < 1:
         raise ValueError(f"code length must be >= 1, got {k}")
@@ -243,32 +234,31 @@ def varshamov_gilbert(k: int, rng=None, target: int | None = None) -> SignFamily
         )
 
     if k <= 24:
-        accepted = [0]
-        for word in range(1, 1 << k):
-            if len(accepted) >= target:
-                break
-            if all((word ^ prev).bit_count() >= dmin for prev in accepted):
-                accepted.append(word)
-        bits = np.vstack([_bits_from_int(w, k) for w in accepted])
-        return SignFamily(bits=bits, min_distance=dmin)
+        candidates = iter(range(1, 1 << k))
+        reject_budget = math.inf
+    else:
+        rng = make_rng(rng)
+        candidates = (
+            int.from_bytes(np.packbits(rng.integers(0, 2, size=k), bitorder="little"), "little")
+            for _ in itertools.count()
+        )
+        reject_budget = 200 * target
 
-    rng = make_rng(rng)
-    for _ in range(20):
-        accepted_bits = [np.zeros(k, dtype=np.uint8)]
-        rejects = 0
-        while len(accepted_bits) < target and rejects < 200 * target:
-            cand = rng.integers(0, 2, size=k).astype(np.uint8)
-            dists = [(int(np.sum(cand != prev))) for prev in accepted_bits]
-            if min(dists) >= dmin:
-                accepted_bits.append(cand)
-                rejects = 0
-            else:
-                rejects += 1
-        if len(accepted_bits) >= target:
-            return SignFamily(bits=np.vstack(accepted_bits), min_distance=dmin)
-    raise RuntimeError(
-        f"randomized code search failed to reach {target} words at length {k}"
-    )
+    accepted = [0]
+    rejects = 0
+    while len(accepted) < target and rejects < reject_budget:
+        word = next(candidates, None)
+        if word is None:  # every word of length k was tried
+            break
+        if all((word ^ prev).bit_count() >= dmin for prev in accepted):
+            accepted.append(word)
+            rejects = 0
+        else:
+            rejects += 1
+    if rejects >= reject_budget:
+        raise RuntimeError(f"randomized code search failed to reach {target} words at length {k}")
+    bits = np.array([[(w >> j) & 1 for j in range(k)] for w in accepted], dtype=np.uint8)
+    return SignFamily(bits=bits, min_distance=dmin)
 
 
 # ---------------------------------------------------------------------------
@@ -336,16 +326,15 @@ def member_values(family: HardFamily, index: int, points: np.ndarray) -> np.ndar
     return scale * (acts @ family.code.signs[index])
 
 
-def pairwise_sq_distances(family: HardFamily) -> np.ndarray:
-    """Exact squared Lebesgue L2 distances between all member pairs.
+def pair_sq_distance(family: HardFamily, i: int, j: int) -> float:
+    """Exact squared Lebesgue L2 distance between members ``i`` and ``j``.
 
     Disjoint supports make cross terms vanish, so the square distance is
     (2 amplitude eps^{-2} atom_l2)^2 times the Hamming distance.
     """
     bits = family.code.bits
-    hamming = (bits[:, None, :] != bits[None, :, :]).sum(axis=-1)
     unit = 2.0 * family.amplitude * atom_l2_norm(family.dim, family.eps) / family.eps ** 2
-    return unit ** 2 * hamming
+    return float(unit ** 2 * hamming(bits[i], bits[j]))
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +353,10 @@ def indistinguishable_probability(d: int, eps: float, hamming: int, n: int) -> f
     return (1.0 - q) ** n
 
 
+# Designs per Monte Carlo batch; a constant because the batching orders the draws.
+_MC_CHUNK = 1000
+
+
 def indistinguishable_probability_mc(
     rng,
     family: HardFamily,
@@ -371,7 +364,6 @@ def indistinguishable_probability_mc(
     j: int,
     n: int,
     trials: int,
-    chunk: int = 1000,
 ) -> float:
     """Monte Carlo estimate of :func:`indistinguishable_probability` for a
     concrete member pair, drawing fresh n-point designs.  With no
@@ -385,7 +377,7 @@ def indistinguishable_probability_mc(
     misses = 0
     done = 0
     while done < trials:
-        m = min(chunk, trials - done)
+        m = min(_MC_CHUNK, trials - done)
         pts = sample_uniform_ball(rng, family.dim, m * n)
         hit = (pts @ centers.T > tau).any(axis=1).reshape(m, n).any(axis=1)
         misses += int(np.sum(~hit))

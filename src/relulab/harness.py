@@ -131,6 +131,8 @@ class SweepConfig:
             raise ValueError("dims and sample_sizes must be nonempty")
         if min(dims) < 1 or min(sizes) < 1:
             raise ValueError("dims and sample_sizes must be positive")
+        if len(set(dims)) < len(dims) or len(set(sizes)) < len(sizes):
+            raise ValueError("dims and sample_sizes must not repeat an entry")
         check_finite_fields(self)
         if self.sigma < 0.0:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")

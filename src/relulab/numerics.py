@@ -40,9 +40,12 @@ def make_rng(seed: int | np.random.SeedSequence | np.random.Generator) -> np.ran
 
     Accepts an integer seed, a ``SeedSequence``, or an existing generator
     (returned unchanged, so functions can be composed without reseeding).
+    ``None`` raises ``TypeError``: numpy would seed it from OS entropy.
     """
     if isinstance(seed, np.random.Generator):
         return seed
+    if seed is None:
+        raise TypeError("a seed is required; None would draw one from OS entropy")
     return np.random.default_rng(seed)
 
 

@@ -33,8 +33,8 @@ from relulab.nets import (
     Dataset,
     TwoLayerNet,
     _block_buffer,
+    _preact_blocks,
     _residual_pass,
-    _row_blocks,
     forward,
     loss,
     param_count,
@@ -73,8 +73,9 @@ def make_hessian_operator(
     The build is the gradient's residual pass, which also copies the
     preactivations into the one (n, K) float array the operator keeps (about
     11 MiB allocated in all at n=512, K=2048).  Each application walks the
-    same row blocks with two block buffers owned by the operator, not the
-    module, since sweep cells run on a thread pool.
+    same row blocks through ``_preact_blocks``, whose buffer belongs to that
+    call; the other block buffer belongs to the operator.  Neither belongs to
+    the module, since sweep cells run on a thread pool.
     """
     x = data.inputs
     n, d = x.shape
@@ -94,7 +95,6 @@ def make_hessian_operator(
     np.maximum(a, 0.0, out=a)
 
     wd = k * d
-    core_buf = _block_buffer(n, k)
     sact_buf = _block_buffer(n, k)
 
     def apply(vec: np.ndarray) -> np.ndarray:
@@ -107,14 +107,11 @@ def make_hessian_operator(
         sw = np.zeros((k, d))       # sum_i s_i 1_ik x_i
         ssum = np.zeros(k)          # sum_i s_i 1_ik
         hv = np.zeros(k)
-        for blk in _row_blocks(n):
+        for blk, core in _preact_blocks(x, vw, vb):
             xb = x[blk]
             actb = act[blk]
             ab = a[blk]
-            core = core_buf[: xb.shape[0]]
             sact = sact_buf[: xb.shape[0]]
-            np.matmul(xb, vw.T, out=core)
-            core -= vb
             core *= actb                # 1_ik (x_i . Vw_k - Vb_k)
             sb = s[blk]
             np.matmul(core, v, out=sb)

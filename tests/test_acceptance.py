@@ -33,7 +33,7 @@ from relulab.hardfn import (
     indistinguishable_probability_mc,
     member_values,
     pack_caps,
-    pairwise_sq_distances,
+    pair_sq_distance,
     varshamov_gilbert,
 )
 from relulab.cli import main as cli_main
@@ -254,7 +254,7 @@ def test_criterion_08_sign_family_guarantees():
 def test_criterion_09_hard_family_distance_law():
     start = time.monotonic()
     family = build_hard_family(make_rng(31), d=3, eps=0.2, n_atoms=8)
-    closed = float(pairwise_sq_distances(family)[0, 1])
+    closed = pair_sq_distance(family, 0, 1)
     samples = 1_000_000
     points = sample_uniform_ball(make_rng(63), 3, samples)
     gap_sq = (member_values(family, 0, points) - member_values(family, 1, points)) ** 2

@@ -1,6 +1,8 @@
 """End-to-end CLI runs, in process via main(argv)."""
 
+import argparse
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -110,6 +112,9 @@ class TestExitCodes:
             # Codes beyond the greedy search's word limit.
             ("vgnorm", {"code_length": 200}),
             ("hardfn-verify", {"d": 5}),
+            # A repeated grid entry would run its cells twice.
+            ("sweep-mse", {"dims": [1, 1]}),
+            ("sweep-mse", {"sample_sizes": [8, 8]}),
         ],
     )
     def test_bad_values_rejected_before_the_run(self, command, raw, tmp_path):
@@ -302,6 +307,18 @@ class TestVgnormCommand:
     def test_short_code_rejected(self, tmp_path):
         cfg = _write_config(tmp_path, {"code_length": 4})
         assert main(["vgnorm", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+    def test_audit_builds_no_all_pairs_array(self, tmp_path):
+        # 1024 words of 80 bits: an (M, M, k) array of bools would be 80 MiB.
+        args = argparse.Namespace(seed=0, out=str(tmp_path))
+        job = cli._prepare_vgnorm({"code_length": 80}, args)
+        tracemalloc.start()
+        try:
+            assert cli._execute_vgnorm(job, args) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestHardfnVerifyCommand:

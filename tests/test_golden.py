@@ -1,4 +1,4 @@
-"""Golden artifact hashes of seven small CLI runs.
+"""Golden artifact hashes of nine small CLI runs.
 
 A change that claims to leave the numbers alone must reproduce these bytes.
 A change that moves floats on purpose (a reordered reduction, say) says so in
@@ -44,6 +44,10 @@ RUNS = {
     "sharpness": ("sharpness", 4, {"d": 3, "n": 64, "train": {"eta": 0.1, "epochs": 300}}),
     # The separated sign family at its defaults.
     "vgnorm": ("vgnorm", 0, {}),
+    # Codes longer than 24 bits take the random greedy search.
+    "vgnorm_random": ("vgnorm", 0, {"code_length": 64}),
+    # The default family has 26 caps, so its code takes the random search.
+    "hardfn_default": ("hardfn-verify", 0, {}),
     # The exact exponent table, the one table of fraction strings.
     "rates": ("rates", 0, {"dims": [1, 2, 3]}),
 }
@@ -51,6 +55,12 @@ RUNS = {
 GOLDEN = {
     "vgnorm": {
         "vgnorm.json": "0ff196a615e77eddc07d5d19c44691984036e4068cb5a3bdd3208bc29e3ad9bf",
+    },
+    "vgnorm_random": {
+        "vgnorm.json": "e251ed70ce25df6669a4b6103116ca4128bfe57941a9061f618783bbc0de4836",
+    },
+    "hardfn_default": {
+        "hardfn.json": "e8a0c78f6c03e211bf74b858bfe6f481bb49695bba34f68a0612afa377be0b85",
     },
     "rates": {
         "rates.csv": "757b70c62a22db7bde6650c868f12c9790cabc63da7d1b36c83f6ee0e792a62c",

@@ -20,12 +20,28 @@ from relulab.hardfn import (
     indistinguishable_probability_mc,
     member_values,
     pack_caps,
-    pairwise_sq_distances,
+    pair_sq_distance,
     relu_atom,
     varshamov_gilbert,
 )
 from relulab.nets import TwoLayerNet, forward
 from relulab.numerics import make_rng, sample_uniform_ball
+
+
+def _row_search(k, rng):
+    """Randomized greedy code over uint8 rows, one ``np.sum`` per pair."""
+    dmin, target = -(-k // 8), math.ceil(2.0 ** (k / 8.0))
+    accepted = [np.zeros(k, dtype=np.uint8)]
+    rejects = 0
+    while len(accepted) < target and rejects < 200 * target:
+        cand = rng.integers(0, 2, size=k).astype(np.uint8)
+        if min(int(np.sum(cand != prev)) for prev in accepted) >= dmin:
+            accepted.append(cand)
+            rejects = 0
+        else:
+            rejects += 1
+    assert len(accepted) == target
+    return np.vstack(accepted)
 
 
 class TestAtomGeometry:
@@ -78,11 +94,6 @@ class TestAtomGeometry:
         se = float(vals.std(ddof=1)) / math.sqrt(vals.size) * ball_volume(d)
         assert abs(est - atom_l2_norm(d, eps) ** 2) <= 4.0 * se
 
-    def test_normalized_rescales_by_eps_squared(self):
-        assert atom_l2_norm(3, 0.2, normalized=True) == pytest.approx(
-            atom_l2_norm(3, 0.2) / 0.04, rel=1e-14
-        )
-
     def test_eps_validation(self):
         with pytest.raises(ValueError, match="eps"):
             atom_l2_norm(2, 0.0)
@@ -111,8 +122,8 @@ class TestCapPacking:
         np.testing.assert_allclose(np.linalg.norm(packing.centers, axis=1), 1.0, rtol=1e-12)
 
     def test_smaller_caps_pack_more(self):
-        small = pack_caps(make_rng(2), 3, 0.05, reject_budget=400)
-        large = pack_caps(make_rng(2), 3, 0.1, reject_budget=400)
+        small = pack_caps(make_rng(2), 3, 0.05)
+        large = pack_caps(make_rng(2), 3, 0.1)
         assert small.count >= 2 * large.count
 
     def test_target_stops_early(self):
@@ -179,6 +190,17 @@ class TestSignFamily:
     def test_validation(self):
         with pytest.raises(ValueError, match="length"):
             varshamov_gilbert(0)
+        # Codes past 24 bits are drawn at random, so they need a seed.
+        with pytest.raises(TypeError, match="seed is required"):
+            varshamov_gilbert(40)
+
+    @pytest.mark.parametrize("k", [25, 40, 64])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_random_search_matches_per_row_oracle(self, k, seed):
+        # The int search must draw and keep exactly the words of a search
+        # over uint8 rows with one numpy sum per pair.
+        fam = varshamov_gilbert(k, rng=make_rng(seed))
+        np.testing.assert_array_equal(fam.bits, _row_search(k, make_rng(seed)))
 
 
 class TestHardFamily:
@@ -236,7 +258,7 @@ class TestHardFamily:
         sq = diff ** 2
         est = float(sq.mean()) * ball_volume(fam.dim)
         se = float(sq.std(ddof=1)) / math.sqrt(sq.size) * ball_volume(fam.dim)
-        assert abs(est - pairwise_sq_distances(fam)[i, j]) <= 4.0 * se
+        assert abs(est - pair_sq_distance(fam, i, j)) <= 4.0 * se
 
     def test_amplitude_validation(self):
         with pytest.raises(ValueError, match="amplitude"):

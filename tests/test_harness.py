@@ -122,6 +122,8 @@ class TestConfigHash:
                 sigma=0.1,
                 mse_mode="holdout",
             )
+        with pytest.raises(ValueError, match="repeat"):
+            SweepConfig(dims=(1, 1), sample_sizes=(8, 8, 16), train=TrainConfig(0.1, 1), sigma=0.1)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize(

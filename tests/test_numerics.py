@@ -30,6 +30,10 @@ class TestRngPlumbing:
         gen = make_rng(5)
         assert make_rng(gen) is gen
 
+    def test_missing_seed_rejected(self):
+        with pytest.raises(TypeError, match="seed is required"):
+            make_rng(None)
+
     def test_derive_rng_is_keyed(self):
         a = derive_rng(7, 1, 32, 0).standard_normal(4)
         b = derive_rng(7, 1, 32, 1).standard_normal(4)
