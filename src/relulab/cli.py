@@ -142,7 +142,8 @@ def _execute_train(cfg: SweepConfig, args) -> int:
 
 
 def _prepare_sweep(raw: dict, args):
-    _check_count("threads", args.threads, 1)
+    if args.threads is not None:
+        _check_count("threads", args.threads, 1)
     _check_keys(raw, _field_names(SweepConfig), "config")
     merged = {**_SWEEP_DEFAULTS, **raw}
     return SweepConfig(
@@ -411,7 +412,11 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", default=None, help="path to a JSON config file")
         cmd.add_argument("--out", default="relulab-out", help="output directory")
         if name == "sweep-mse":
-            cmd.add_argument("--threads", type=int, default=1, help="worker threads for the cells")
+            cmd.add_argument(
+                "--threads", type=int, default=None,
+                help="worker threads for the cells (default: one per usable core,"
+                " or one where BLAS cannot be pinned)",
+            )
     return parser
 
 

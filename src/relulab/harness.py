@@ -5,16 +5,22 @@ training sweeps with a width-proportional-to-n rule, fits log-log MSE slopes,
 runs the paired large-step vs weight-decay comparison, and persists every
 artifact (CSV tables, JSON summaries, a manifest with config and file hashes)
 deterministically: the same config and seed always produce the same bytes.
+Both experiments run on thread pools with numpy's BLAS held to one thread,
+so their bytes depend neither on the pool size nor on the core count.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import ctypes
 import dataclasses
+import functools
 import hashlib
 import json
 import os
 import platform
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import metadata
@@ -62,6 +68,7 @@ __all__ = [
     "run_cell_with_log",
     "run_mse_sweep",
     "run_shattering_experiment",
+    "usable_cores",
     "write_sweep_csv",
     "append_sweep_records",
     "write_json",
@@ -244,18 +251,25 @@ def make_regression_dataset(rng, d: int, n: int, sigma: float) -> Dataset:
     return Dataset(inputs=x, labels=x[:, 0] + sigma * noise)
 
 
-def _run_cell(chash, master_seed, d, n, seed, width, sigma, train_config, holdout_size):
-    """The one cell recipe of both experiments: data, init, train, measure.
-
-    Data, initialization, holdout and the final sharpness start each draw
-    from their own stream derived from ``(master_seed, d, n, seed)``, so two
-    calls that differ only in ``train_config`` share data and init.  Returns
-    (record, log, data, stats): the RunRecord, the training log, the
-    training sample, and the per-neuron statistics the shares come from.
-    """
+def _cell_inputs(master_seed, d, n, seed, width, sigma):
+    """Training sample and initial network of one cell, each drawn from its
+    own stream derived from ``(master_seed, d, n, seed)``."""
     key = (master_seed, d, n, seed)
     data = make_regression_dataset(cell_rng(*key, TRAIN_DATA_CHANNEL), d, n, sigma)
-    log = train(kaiming_init(cell_rng(*key, INIT_CHANNEL), d, width), data, train_config)
+    return data, kaiming_init(cell_rng(*key, INIT_CHANNEL), d, width)
+
+
+def _measure_cell(chash, key, log, data, sigma, train_config, holdout_size):
+    """The measurement half of the cell recipe: MSE against f0 in sample and
+    on a holdout, the generalization gap, the final sharpness and the neuron
+    shares of the trained network ``log.net``.
+
+    ``key`` is the cell's ``(master_seed, d, n, seed)``; the holdout and the
+    sharpness start vector draw from their own streams derived from it.
+    Returns (record, stats): the RunRecord and the per-neuron statistics the
+    shares come from.
+    """
+    _, d, n, seed = key
     net = log.net
     in_sample = float(np.mean((forward(net, data.inputs) - data.inputs[:, 0]) ** 2))
     holdout = make_regression_dataset(cell_rng(*key, HOLDOUT_CHANNEL), d, holdout_size, sigma)
@@ -287,6 +301,25 @@ def _run_cell(chash, master_seed, d, n, seed, width, sigma, train_config, holdou
         sparse_neuron_share=report.sparse_neuron_share,
         dead_neuron_share=report.dead_neuron_share,
     )
+    return record, stats
+
+
+def _run_cell(chash, master_seed, d, n, seed, width, sigma, train_config, holdout_size):
+    """The one cell recipe of both experiments: data, init, train, measure.
+
+    Data, initialization, holdout and the final sharpness start each draw
+    from their own stream derived from ``(master_seed, d, n, seed)``, so two
+    calls that differ only in ``train_config`` share data and init.  Returns
+    (record, log, data, stats): the RunRecord, the training log, the
+    training sample, and the per-neuron statistics the shares come from.
+    The shattering experiment runs the same two halves, with its arms'
+    training on a pool between them.
+    """
+    data, net0 = _cell_inputs(master_seed, d, n, seed, width, sigma)
+    log = train(net0, data, train_config)
+    record, stats = _measure_cell(
+        chash, (master_seed, d, n, seed), log, data, sigma, train_config, holdout_size
+    )
     return record, log, data, stats
 
 
@@ -296,11 +329,14 @@ def run_cell_with_log(cfg: SweepConfig, d: int, n: int, seed: int):
     Returns (record, log, data) so callers can persist the trained network
     and the loss history.  Raises :class:`TrainingDivergedError` if the run
     blows up; the sweep driver converts that into a :class:`CellFailure`.
+    BLAS is held to one thread, as in the sweep, so a cell run on its own
+    reproduces its sweep row at any shape and core count.
     """
-    record, log, data, _ = _run_cell(
-        config_hash(cfg), cfg.master_seed, d, n, seed, cfg.width_rule * n, cfg.sigma, cfg.train,
-        cfg.holdout_size,
-    )
+    with _one_blas_thread():
+        record, log, data, _ = _run_cell(
+            config_hash(cfg), cfg.master_seed, d, n, seed, cfg.width_rule * n, cfg.sigma,
+            cfg.train, cfg.holdout_size,
+        )
     return record, log, data
 
 
@@ -356,16 +392,97 @@ def _slope_table(cfg: SweepConfig, medians: dict) -> dict:
     return slopes
 
 
-def run_mse_sweep(cfg: SweepConfig, threads: int = 1) -> SweepResult:
+def usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity where the platform
+    reports one, else the machine's core count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+# Thread-count getter and setter pairs that numpy's bundled OpenBLAS may
+# export: the scipy-openblas build of numpy's wheels, then plain OpenBLAS.
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _openblas():
+    """(get, set) thread-count functions of the OpenBLAS in ``numpy.libs``,
+    or None.  Looked up on first use, so importing relulab stays as cheap."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    names = sorted(os.listdir(libs)) if os.path.isdir(libs) else []
+    for name in (f for f in names if "openblas" in f):
+        lib = ctypes.CDLL(os.path.join(libs, name))
+        for getter, setter in _OPENBLAS_SYMBOLS:
+            get, set_ = getattr(lib, getter, None), getattr(lib, setter, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = (), ctypes.c_int
+                set_.argtypes, set_.restype = (ctypes.c_int,), None
+                return get, set_
+    return None
+
+
+_blas_lock = threading.Lock()
+_blas_pins = 0  # pins open now
+_blas_restore = None  # the count before the first of them
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold numpy's BLAS to one thread for the body and restore the earlier
+    count on exit, an exception included.
+
+    The count is process-wide, so nested or concurrent pins share one saved
+    count and the last one out restores it.  Each pool worker then runs its
+    BLAS calls on its own core, and the result no longer depends on how
+    OpenBLAS would split a product between threads.  Where numpy's bundled
+    OpenBLAS exporting one of :data:`_OPENBLAS_SYMBOLS` is not found (say,
+    numpy built against another BLAS), this does nothing.
+    """
+    api = _openblas()
+    if api is None:
+        yield
+        return
+    global _blas_pins, _blas_restore
+    get, set_ = api
+    with _blas_lock:
+        if _blas_pins == 0:
+            _blas_restore = get()
+            set_(1)
+        _blas_pins += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_pins -= 1
+            if _blas_pins == 0:
+                set_(_blas_restore)
+
+
+def run_mse_sweep(cfg: SweepConfig, threads: int | None = None) -> SweepResult:
     """Train every (d, n, seed) cell and fit per-d log-log MSE slopes.
 
     Individual divergences are recorded as failures and the sweep continues.
-    Cells run on a pool of ``threads`` worker threads; results do not depend
-    on the pool size because every cell derives its own random streams.
+    Cells run on a pool of ``threads`` worker threads, each running the
+    whole cell recipe.  numpy's BLAS is held to one thread for the whole
+    sweep, so the workers do not oversubscribe the cores and the records do
+    not depend on the pool size or the core count; every cell also derives
+    its own random streams.  By default the pool has one worker per usable
+    core (:func:`usable_cores`), or one worker where BLAS cannot be pinned
+    (see :func:`_one_blas_thread`), since unpinned workers would each run a
+    multi-threaded BLAS.  With ``train.sharpness_every > 0`` each worker
+    builds its cell's telemetry Hessian operators, so peak memory grows with
+    the pool.
     When ``cfg.output_dir`` is set, writes sweep.csv, failures.csv,
     slopes.json, and manifest.json there (overwriting, so a rerun of the
     same config reproduces the same bytes).
     """
+    if threads is None:
+        threads = usable_cores() if _openblas() is not None else 1
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     cells = [
@@ -374,7 +491,7 @@ def run_mse_sweep(cfg: SweepConfig, threads: int = 1) -> SweepResult:
         for n in cfg.sample_sizes
         for seed in range(cfg.seeds_per_cell)
     ]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with _one_blas_thread(), ThreadPoolExecutor(max_workers=threads) as pool:
         outcomes = list(pool.map(lambda cell: _attempt_cell(cfg, cell), cells))
     records = tuple(o for o in outcomes if isinstance(o, RunRecord))
     failures = tuple(o for o in outcomes if isinstance(o, CellFailure))
@@ -455,20 +572,66 @@ class ShatterResult:
     weight_decay_stats: NeuronStats
 
 
+def _train_arms(net0, data, configs) -> list:
+    """Train from ``net0`` on ``data`` under both arm configs and return
+    the two logs in arm order.
+
+    The calling thread trains the first arm while one worker thread trains
+    the second.  Each thread's first call is ``train``, and the worker waits
+    until the calling thread is about to make its call, so the calls begin
+    in arm order, on a best-effort basis: to reorder them the interpreter
+    would have to switch threads within those few bytecodes, far less than
+    its switch interval.  The first arm stays in the calling thread because
+    a worker's allocations land in a malloc arena of its own: on the shatter
+    benchmark (2-vCPU x86-64 VM) two workers raised peak RSS by 7% over
+    serial training, one worker by 3.5%.  If the first arm raises, the error
+    surfaces once the second arm has finished.  Where BLAS cannot be pinned
+    the arms train one after the other, since two unpinned trainings would
+    each run a multi-threaded BLAS.
+    """
+    first, second = configs
+    if _openblas() is None:
+        return [train(net0, data, first), train(net0, data, second)]
+    first_entering = threading.Event()
+
+    def train_second():
+        first_entering.wait()
+        return train(net0, data, second)
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        later = pool.submit(train_second)
+        first_entering.set()
+        return [train(net0, data, first), later.result()]
+
+
 def run_shattering_experiment(cfg: ShatterConfig) -> ShatterResult:
-    """Run both arms as cells of the one recipe; they draw the same data and
-    initialization from the same derived streams.
+    """Run both arms through the halves of the one cell recipe, from one
+    training sample and one initial network.
+
+    The two trainings run side by side on two threads (one after the other
+    where BLAS cannot be pinned), the large-step arm entering ``train``
+    first, with numpy's BLAS held to one thread, so the bytes do not depend
+    on the core count.  With ``sharpness_every > 0`` each thread builds its
+    arm's telemetry Hessian operators.  Each arm is then measured in arm
+    order in the calling thread: a final-sharpness operator keeps an
+    (n, width) float array and mask, about 11 MiB at the paper's shape, and
+    measuring both arms at once would hold two.
 
     When ``cfg.output_dir`` is set, writes per-neuron scatter CSVs, per-arm
     training logs, a records JSON, and a manifest.
     """
-    (large, large_log, _, large_stats), (decay, decay_log, _, decay_stats) = (
-        _run_cell(
-            config_hash({**cfg.as_dict(), "arm": arm}),
-            cfg.master_seed, cfg.d, cfg.n, 0, cfg.width, cfg.sigma, train_cfg, 10000,
+    key = (cfg.master_seed, cfg.d, cfg.n, 0)
+    configs = cfg.train_configs()
+    with _one_blas_thread():
+        data, net0 = _cell_inputs(*key, cfg.width, cfg.sigma)
+        logs = _train_arms(net0, data, configs)
+        (large, large_stats), (decay, decay_stats) = (
+            _measure_cell(
+                config_hash({**cfg.as_dict(), "arm": arm}), key, log, data, cfg.sigma, train_cfg, 10000
+            )
+            for arm, log, train_cfg in zip(("large_step", "weight_decay"), logs, configs)
         )
-        for arm, train_cfg in zip(("large_step", "weight_decay"), cfg.train_configs())
-    )
+    large_log, decay_log = logs
     result = ShatterResult(
         large_step=large,
         weight_decay=decay,

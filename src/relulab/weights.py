@@ -189,44 +189,66 @@ def g_simplified(d: int, t: float) -> float:
 # empirical weight from a point cloud
 # ---------------------------------------------------------------------------
 
+def _empirical_factors(points, u, t, orientations: int) -> list:
+    """Plug-in one-sided factors of the pairs ``(u_j, t_j)`` and, with
+    ``orientations == 2``, of the flipped pairs ``(-u_j, -t_j)``: one (m,)
+    array per orientation.
+
+    One pass over the row blocks of ``points`` accumulates each pair's event
+    count, clipped gap sum and masked point sum.  The flipped pair's
+    preactivations are -z, its event is ``z < 0`` and its gap
+    ``max(-z, 0)``; rounding is symmetric in sign, so these sums carry the
+    bits a pass of its own would.
+    """
+    x = np.asarray(points, dtype=float)
+    dirs = np.atleast_2d(u)
+    offsets = np.atleast_1d(np.asarray(t, dtype=float))
+    n, m = x.shape[0], dirs.shape[0]
+    count = np.zeros((orientations, m))
+    gap = np.zeros((orientations, m))
+    point_sum = np.zeros((orientations, *dirs.shape))
+    hit_buf = _block_buffer(n, m)
+    for rows, z in _preact_blocks(x, dirs, offsets):
+        hit = hit_buf[: z.shape[0]]
+        for side, event in zip(range(orientations), (np.greater, np.less)):
+            event(z, 0.0, out=hit)
+            count[side] += hit.sum(axis=0)
+            point_sum[side] += hit.T @ x[rows]
+        if orientations == 2:
+            np.negative(z, out=hit)
+            np.maximum(hit, 0.0, out=hit)
+            gap[1] += hit.sum(axis=0)
+        np.maximum(z, 0.0, out=z)
+        gap[0] += z.sum(axis=0)
+    factors = []
+    for side in range(orientations):
+        # An empty event has zero sums, so dividing by one leaves its factor 0.
+        seen = np.maximum(count[side], 1.0)
+        mean = point_sum[side] / seen[:, None]
+        p = count[side] / n
+        factors.append(p * p * (gap[side] / seen) * np.sqrt(1.0 + np.sum(mean * mean, axis=1)))
+    return factors
+
+
 def tilde_g_empirical(points: np.ndarray, u: np.ndarray, t):
     """Plug-in one-sided factors over a point cloud, one per pair ``(u_j, t_j)``.
 
     ``u`` holds m directions (m, d) and ``t`` m offsets (m,); a single (d,)
-    direction with a scalar offset gives a float.  One pass over the row
-    blocks of ``points`` accumulates each pair's event count, clipped gap sum
-    and masked point sum.  Strict inequality in the conditioning event
-    ``x . u > t``; an empty event gives 0.  ``u`` is taken as given (callers
-    pass unit directions).
+    direction with a scalar offset gives a float.  Strict inequality in the
+    conditioning event ``x . u > t``; an empty event gives 0.  ``u`` is taken
+    as given (callers pass unit directions).
     """
-    x = np.asarray(points, dtype=float)
     u = np.asarray(u, dtype=float)
-    dirs = np.atleast_2d(u)
-    offsets = np.atleast_1d(np.asarray(t, dtype=float))
-    n, m = x.shape[0], dirs.shape[0]
-    count = np.zeros(m)
-    gap = np.zeros(m)
-    point_sum = np.zeros(dirs.shape)
-    hit_buf = _block_buffer(n, m)
-    for rows, z in _preact_blocks(x, dirs, offsets):
-        hit = hit_buf[: z.shape[0]]
-        np.greater(z, 0.0, out=hit)
-        np.maximum(z, 0.0, out=z)
-        count += hit.sum(axis=0)
-        gap += z.sum(axis=0)
-        point_sum += hit.T @ x[rows]
-    # An empty event has zero sums, so dividing by one leaves its factor 0.
-    seen = np.maximum(count, 1.0)
-    mean = point_sum / seen[:, None]
-    p = count / n
-    out = p * p * (gap / seen) * np.sqrt(1.0 + np.sum(mean * mean, axis=1))
+    (out,) = _empirical_factors(points, u, t, 1)
     return float(out[0]) if u.ndim == 1 else out
 
 
 def g_empirical(points: np.ndarray, u: np.ndarray, t):
-    """min over the two orientations of the plug-in factor, per pair."""
+    """min over the two orientations of the plug-in factor, per pair; both
+    orientations come from one pass over the points."""
     u = np.asarray(u, dtype=float)
-    return np.minimum(tilde_g_empirical(points, u, t), tilde_g_empirical(points, -u, -t))
+    out = np.minimum(*_empirical_factors(points, u, t, 2))
+    return out[0] if u.ndim == 1 else out
 
 
 def _check_dim(d: int) -> int:

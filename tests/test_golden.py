@@ -7,14 +7,20 @@ records the Python and library versions of the machine that wrote it.
 
 The hashes were made with numpy 2.4.6 and scipy 1.17.1 (OpenBLAS, x86-64).
 BLAS kernels may round differently on another build or CPU, so a mismatch on
-a different stack is not by itself a fault in relulab.
+a different stack is not by itself a fault in relulab.  The sweep and shatter
+runs also reproduce their hashes in a fresh process under either OpenBLAS
+thread count: their drivers hold BLAS to one thread whatever it is set to.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import relulab
 from relulab.cli import main as cli_main
 
 RUNS = {
@@ -92,14 +98,33 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("run", sorted(RUNS))
-def test_cli_artifacts_match_golden_hashes(run, tmp_path):
+def _cli_args(run, tmp_path):
     command, seed, raw = RUNS[run]
     config = tmp_path / "config.json"
     config.write_text(json.dumps(raw))
-    out = tmp_path / "out"
-    assert cli_main([command, "--seed", str(seed), "--config", str(config), "--out", str(out)]) == 0
+    return [command, "--seed", str(seed), "--config", str(config), "--out", str(tmp_path / "out")]
+
+
+def _assert_golden(run, out):
     written = {p.name for p in out.iterdir()} - {"manifest.json"}
     assert written == set(GOLDEN[run])
     for name, digest in GOLDEN[run].items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_cli_artifacts_match_golden_hashes(run, tmp_path):
+    assert cli_main(_cli_args(run, tmp_path)) == 0
+    _assert_golden(run, tmp_path / "out")
+
+
+@pytest.mark.parametrize("blas_threads", ["1", "2"])
+@pytest.mark.parametrize("run", ["sweep", "shatter"])
+def test_pooled_runs_match_golden_hashes_at_any_blas_thread_count(run, blas_threads, tmp_path):
+    src = os.path.dirname(os.path.dirname(relulab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": blas_threads}
+    command = [sys.executable, "-m", "relulab.cli", *_cli_args(run, tmp_path)]
+    done = subprocess.run(command, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    _assert_golden(run, tmp_path / "out")

@@ -3,6 +3,9 @@
 import dataclasses
 import hashlib
 import json
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -33,7 +36,7 @@ from relulab.harness import (
 )
 from relulab.nets import forward, kaiming_init, loss
 from relulab.numerics import loglog_slope, make_rng
-from relulab.training import TrainConfig
+from relulab.training import TrainConfig, TrainingDivergedError
 
 
 class TestRegressionDataset:
@@ -279,6 +282,35 @@ class TestSweep:
         assert serial.slopes == pooled.slopes
         assert blobs[0] == blobs[1]
 
+    @staticmethod
+    def _record_pool_sizes(monkeypatch):
+        sizes = []
+
+        class Recording(harness.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", Recording)
+        return sizes
+
+    def test_pool_defaults_to_one_worker_per_usable_core(self, monkeypatch):
+        sizes = self._record_pool_sizes(monkeypatch)
+        # A stand-in thread-count API, so the default is the pinned one on
+        # any BLAS build.
+        monkeypatch.setattr(harness, "_openblas", lambda: (lambda: 1, lambda count: None))
+        run_mse_sweep(_smoke_config())
+        assert sizes == [harness.usable_cores()]
+        with pytest.raises(ValueError, match="threads"):
+            run_mse_sweep(_smoke_config(), threads=0)
+
+    def test_pool_defaults_to_one_worker_where_blas_cannot_be_pinned(self, monkeypatch):
+        sizes = self._record_pool_sizes(monkeypatch)
+        monkeypatch.setattr(harness, "_openblas", lambda: None)
+        run_mse_sweep(_smoke_config())
+        run_mse_sweep(_smoke_config(), threads=2)
+        assert sizes == [1, 2]
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_recorded_and_sweep_continues(self):
         cfg = _smoke_config(
@@ -430,3 +462,133 @@ class TestShatteringExperiment:
             run_shattering_experiment(ShatterConfig(epochs=2, output_dir=str(out), **self.SMALL))
             blobs.append({p.name: p.read_bytes() for p in out.iterdir()})
         assert blobs[0] == blobs[1]
+
+    def test_side_by_side_arms_enter_train_in_order_and_match_serial_cells(self, monkeypatch):
+        # The golden shatter shape.  The wrapper sits where a benchmark's
+        # timing probe would: on the module global, recording each entry.
+        cfg = ShatterConfig(d=3, n=100, width=200, epochs=200, master_seed=1)
+        entered = []
+        original = harness.train
+
+        def recording_train(net, data, config):
+            entered.append(config)
+            return original(net, data, config)
+
+        monkeypatch.setattr(harness, "train", recording_train)
+        result = run_shattering_experiment(cfg)
+        monkeypatch.undo()
+        assert entered == list(cfg.train_configs())
+        for arm, train_cfg in zip(("large_step", "weight_decay"), cfg.train_configs()):
+            record, log, _, stats = harness._run_cell(
+                config_hash({**cfg.as_dict(), "arm": arm}),
+                cfg.master_seed, cfg.d, cfg.n, 0, cfg.width, cfg.sigma, train_cfg, 10_000,
+            )
+            assert getattr(result, arm) == record
+            assert np.array_equal(getattr(result, f"{arm}_log").losses, log.losses)
+            pooled_stats = getattr(result, f"{arm}_stats")
+            for field in dataclasses.fields(stats):
+                assert np.array_equal(getattr(pooled_stats, field.name), getattr(stats, field.name))
+
+    def test_arms_train_in_the_calling_thread_where_blas_cannot_be_pinned(self, monkeypatch):
+        cfg = ShatterConfig(epochs=2, **self.SMALL)
+        pinned = run_shattering_experiment(cfg)
+        calls = []
+        original = harness.train
+
+        def recording_train(net, data, config):
+            calls.append((threading.get_ident(), config))
+            return original(net, data, config)
+
+        monkeypatch.setattr(harness, "train", recording_train)
+        monkeypatch.setattr(harness, "_openblas", lambda: None)
+        result = run_shattering_experiment(cfg)
+        assert calls == [(threading.get_ident(), c) for c in cfg.train_configs()]
+        assert (result.large_step, result.weight_decay) == (pinned.large_step, pinned.weight_decay)
+
+
+@pytest.mark.skipif(harness._openblas() is None, reason="numpy's bundled OpenBLAS not found")
+class TestBlasPin:
+    """Both drivers hold OpenBLAS to one thread and put the count back."""
+
+    def _threads_seen_in_train(self, monkeypatch):
+        seen = []
+        original = harness.train
+
+        def recording_train(net, data, config):
+            seen.append(harness._openblas()[0]())
+            return original(net, data, config)
+
+        monkeypatch.setattr(harness, "train", recording_train)
+        return seen
+
+    def test_sweep_pins_one_thread_and_restores(self, monkeypatch):
+        get = harness._openblas()[0]
+        before = get()
+        seen = self._threads_seen_in_train(monkeypatch)
+        run_mse_sweep(_smoke_config(seeds_per_cell=2), threads=2)
+        assert seen == [1, 1]
+        assert get() == before
+
+    def test_single_cell_pins_one_thread_and_restores(self, monkeypatch):
+        get = harness._openblas()[0]
+        before = get()
+        seen = self._threads_seen_in_train(monkeypatch)
+        run_single_cell(_smoke_config(), 2, 8, 0)
+        assert seen == [1]
+        assert get() == before
+
+    def test_shatter_pins_one_thread_and_restores(self, monkeypatch):
+        get = harness._openblas()[0]
+        before = get()
+        seen = self._threads_seen_in_train(monkeypatch)
+        run_shattering_experiment(ShatterConfig(epochs=2, **TestShatteringExperiment.SMALL))
+        assert seen == [1, 1]
+        assert get() == before
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_count_restored_after_a_diverging_arm_raises(self):
+        get = harness._openblas()[0]
+        before = get()
+        cfg = ShatterConfig(
+            epochs=3, eta_large=1e150, clip_threshold=1e300, **TestShatteringExperiment.SMALL
+        )
+        with pytest.raises(TrainingDivergedError):
+            run_shattering_experiment(cfg)
+        assert get() == before
+
+    def test_concurrent_pins_restore_once(self):
+        # More pinning threads than cores, switching as often as the
+        # interpreter allows; a lost update to the shared pin count would
+        # leave BLAS at one thread or restore it while a pin is still open.
+        get = harness._openblas()[0]
+        before = get()
+        inside = []
+
+        def pin_often():
+            for _ in range(200):
+                with harness._one_blas_thread():
+                    time.sleep(0)  # let another thread pin or unpin here
+                    inside.append(get())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=pin_often) for _ in range(8)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert inside == [1] * 1600
+        assert get() == before
+
+    def test_nested_pins_restore_once(self):
+        get = harness._openblas()[0]
+        before = get()
+        with harness._one_blas_thread():
+            with harness._one_blas_thread():
+                assert get() == 1
+            assert get() == 1
+        assert get() == before

@@ -247,6 +247,20 @@ class TestEmpiricalWeight:
         assert side_minus < side_plus
         assert g_empirical(pts, u, t) == pytest.approx(side_minus)
 
+    def test_one_pass_equals_two_one_sided_calls_bitwise(self):
+        # The paper's shape, with one offset exactly on a sample point's
+        # projection, one below the cloud and one above it.
+        rng = make_rng(17)
+        pts = sample_uniform_ball(rng, 10, 512)
+        u = rng.standard_normal((2007, 10))
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        t = rng.uniform(-1.0, 1.0, 2007)
+        t[0], t[1], t[2] = pts[0] @ u[0], -2.0, 2.0
+        both = g_empirical(pts, u, t)
+        expected = np.minimum(tilde_g_empirical(pts, u, t), tilde_g_empirical(pts, -u, -t))
+        assert both.tobytes() == expected.tobytes()
+        assert g_empirical(pts, u[0], t[0]) == expected[0]
+
     def test_orientation_flip_invariance(self):
         rng = make_rng(5)
         pts = sample_uniform_ball(rng, 3, 500)

@@ -19,8 +19,6 @@ section of an existing file is kept.
 from __future__ import annotations
 
 import argparse
-import ctypes
-import glob
 import json
 import os
 import platform
@@ -41,16 +39,11 @@ def _git(*args: str) -> str:
 
 def _blas_threads() -> int | None:
     """Threads numpy's bundled OpenBLAS would use under this environment."""
-    import numpy
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    from relulab.harness import _openblas
 
-    libs = glob.glob(os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs", "*openblas*"))
-    for lib in libs:
-        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
-            getter = getattr(ctypes.CDLL(lib), symbol, None)
-            if getter is not None:
-                getter.restype = ctypes.c_int
-                return getter()
-    return None
+    api = _openblas()
+    return api[0]() if api is not None else None
 
 
 def _run(checkout: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
