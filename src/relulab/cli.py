@@ -30,7 +30,9 @@ from .harness import (
 )
 from .hardfn import (
     HardFamily,
+    HardfnConfig,
     SignFamily,
+    VgnormConfig,
     atom_l2_constants,
     atom_l2_norm,
     ball_volume,
@@ -44,40 +46,25 @@ from .hardfn import (
 )
 from .nets import save_checkpoint
 from .numerics import derive_rng, is_integer, sample_uniform_ball
-from .rates import exponent_table_to_csv
-from .sharpness import regularity_certificate
+from .rates import RatesConfig, exponent_table_to_csv
+from .sharpness import CertificateConfig, regularity_certificate
 from .training import TrainConfig, train_log_to_csv
 
-__all__ = ["ConfigError", "main"]
+__all__ = ["main"]
 
-
-class ConfigError(ValueError):
-    """Raised for malformed or inconsistent configuration input."""
-
-
-_CONFIG_ERRORS = (ConfigError, ValueError, TypeError, KeyError, OSError)
+# A config too large to build fails with MemoryError or OverflowError.
+_CONFIG_ERRORS = (ValueError, TypeError, KeyError, OSError, MemoryError, OverflowError)
 
 
 def _check_keys(raw: dict, allowed, context: str) -> None:
     unknown = sorted(set(raw) - set(allowed))
     if unknown:
-        raise ConfigError(f"unknown {context} keys: {unknown}")
-
-
-def _merge(defaults: dict, override: dict, context: str) -> dict:
-    _check_keys(override, defaults, context)
-    return {**defaults, **override}
+        raise ValueError(f"unknown {context} keys: {unknown}")
 
 
 def _check_count(key: str, value, low: int) -> None:
     if not (is_integer(value) and value >= low):
-        raise ConfigError(f"{key} must be an integer >= {low}, got {value!r}")
-
-
-def _check_real(key: str, value, low: float, high: float = math.inf) -> None:
-    # A JSON boolean is not a number; NaN fails both comparisons.
-    if isinstance(value, bool) or not low < value < high:
-        raise ConfigError(f"{key} must be a number in ({low}, {high}), got {value!r}")
+        raise ValueError(f"{key} must be an integer >= {low}, got {value!r}")
 
 
 def _field_names(cls) -> set:
@@ -86,9 +73,15 @@ def _field_names(cls) -> set:
     return {f.name for f in dataclasses.fields(cls)} - {"seed", "master_seed", "output_dir"}
 
 
+def _config(cls, raw: dict, **given):
+    """``cls`` from the config file's keys ``raw`` and the CLI's ``given``."""
+    _check_keys(raw, _field_names(cls), "config")
+    return cls(**raw, **given)
+
+
 # Keys and defaults are the config dataclasses' own; the CLI adds its own
-# keys (d and n for one cell, epoch_preset, the certificate settings) and the
-# values the dataclasses leave without a default.
+# keys (d and n for one cell, epoch_preset) and the values the dataclasses
+# leave without a default.
 _TRAIN_KEYS = _field_names(TrainConfig) | {"epoch_preset"}
 _TRAIN_DEFAULTS = {"eta": 0.1, "epochs": 100}
 _CELL_KEYS = {"d", "n"} | (
@@ -96,16 +89,15 @@ _CELL_KEYS = {"d", "n"} | (
 )
 _CELL_DEFAULTS = {"d": 2, "n": 32, "sigma": 0.5}
 _SWEEP_DEFAULTS = {"dims": [1, 5], "sample_sizes": [32, 64, 128], "sigma": 1.0}
-_CERTIFICATE_DEFAULTS = {"certificate_rel_tol": 1e-10, "certificate_max_iters": 20000}
 
 
 def _train_config(raw: dict, seed: int) -> TrainConfig:
     _check_keys(raw, _TRAIN_KEYS, "train")
-    merged = {**_TRAIN_DEFAULTS, **raw}
-    preset = merged.pop("epoch_preset", None)
+    values = {**_TRAIN_DEFAULTS, **raw}
+    preset = values.pop("epoch_preset", None)
     if preset is not None:
-        merged["epochs"] = preset_epochs(preset, merged["eta"])
-    return TrainConfig(seed=seed, **merged)
+        values["epochs"] = preset_epochs(preset, values["eta"])
+    return TrainConfig(seed=seed, **values)
 
 
 def _cell_sweep_config(raw: dict, args) -> SweepConfig:
@@ -168,8 +160,7 @@ def _execute_sweep(cfg: SweepConfig, args) -> int:
 
 
 def _prepare_shatter(raw: dict, args):
-    _check_keys(raw, _field_names(ShatterConfig), "config")
-    return ShatterConfig(master_seed=args.seed, output_dir=args.out, **raw)
+    return _config(ShatterConfig, raw, master_seed=args.seed, output_dir=args.out)
 
 
 def _execute_shatter(cfg: ShatterConfig, args) -> int:
@@ -186,12 +177,9 @@ def _execute_shatter(cfg: ShatterConfig, args) -> int:
 
 
 def _prepare_sharpness(raw: dict, args):
-    cell_raw = {k: v for k, v in raw.items() if k not in _CERTIFICATE_DEFAULTS}
-    certificate = {k: raw.get(k, default) for k, default in _CERTIFICATE_DEFAULTS.items()}
-    cfg = _cell_sweep_config(cell_raw, args)
-    _check_real("certificate_rel_tol", certificate["certificate_rel_tol"], 0.0)
-    _check_count("certificate_max_iters", certificate["certificate_max_iters"], 1)
-    return cfg, certificate
+    names = _field_names(CertificateConfig)
+    cfg = _cell_sweep_config({k: v for k, v in raw.items() if k not in names}, args)
+    return cfg, _config(CertificateConfig, {k: v for k, v in raw.items() if k in names})
 
 
 def _execute_sharpness(prepared, args) -> int:
@@ -201,8 +189,8 @@ def _execute_sharpness(prepared, args) -> int:
     cert = regularity_certificate(
         log.net,
         data,
-        rel_tol=certificate["certificate_rel_tol"],
-        max_iters=certificate["certificate_max_iters"],
+        rel_tol=certificate.certificate_rel_tol,
+        max_iters=certificate.certificate_max_iters,
         rng=derive_rng(args.seed, 99),
     )
     out = args.out
@@ -218,7 +206,7 @@ def _execute_sharpness(prepared, args) -> int:
     )
     write_manifest(
         out,
-        {"command": "sharpness", **cfg.as_dict(), **certificate},
+        {"command": "sharpness", **cfg.as_dict(), **dataclasses.asdict(certificate)},
         ["checkpoint.bin", "sharpness.json"],
     )
     print(
@@ -234,32 +222,24 @@ class _Job:
     hardfn-verify build theirs while preparing, so a family too large to
     search exits 2 before --out exists."""
 
-    config: dict
+    config: VgnormConfig | HardfnConfig
     family: SignFamily | HardFamily
-
-    def as_dict(self) -> dict:
-        return self.config
 
 
 def _prepare_vgnorm(raw: dict, args):
-    merged = _merge({"code_length": 16, "target": None}, raw, "config")
-    _check_count("code_length", merged["code_length"], 8)
-    if merged["target"] is not None:
-        _check_count("target", merged["target"], 1)
-    code = varshamov_gilbert(
-        merged["code_length"], rng=derive_rng(args.seed, 0), target=merged["target"]
-    )
-    return _Job(merged, code)
+    cfg = _config(VgnormConfig, raw)
+    code = varshamov_gilbert(cfg.code_length, rng=derive_rng(args.seed, 0), target=cfg.target)
+    return _Job(cfg, code)
 
 
 def _execute_vgnorm(job, args) -> int:
-    merged, family = job.config, job.family
-    k = merged["code_length"]
+    cfg, family = job.config, job.family
+    k = cfg.code_length
     # Each word against the words after it: no (M, M, k) array is built.
     rows = family.bits
     audit = min((int(hamming(w, rows[m + 1 :]).min()) for m, w in enumerate(rows[:-1])), default=k)
     required_distance = math.ceil(k / 8)
-    required_size = merged["target"] or math.ceil(2 ** (k / 8))
+    required_size = cfg.target or math.ceil(2 ** (k / 8))
     passed = audit >= required_distance and family.size >= required_size
     payload = {
         "code_length": k,
@@ -271,47 +251,26 @@ def _execute_vgnorm(job, args) -> int:
         "pass": passed,
     }
     write_json(os.path.join(args.out, "vgnorm.json"), payload)
-    write_manifest(args.out, {"command": "vgnorm", "seed": args.seed, **merged}, ["vgnorm.json"])
+    config = {"command": "vgnorm", "seed": args.seed, **dataclasses.asdict(cfg)}
+    write_manifest(args.out, config, ["vgnorm.json"])
     print(f"code_length={k}: size={family.size} min_distance={audit} pass={passed}")
     return 0 if passed else 3
 
 
 def _prepare_hardfn(raw: dict, args):
-    defaults = {
-        "d": 3,
-        "eps": 0.2,
-        "n_atoms": None,
-        "amplitude": 1.0,
-        "pair": [0, 1],
-        "n_obs": 50,
-        "mc_trials": 20000,
-        "l2_samples": 200000,
-    }
-    merged = _merge(defaults, raw, "config")
-    for key, low in (("d", 2), ("n_obs", 0), ("mc_trials", 1), ("l2_samples", 1)):
-        _check_count(key, merged[key], low)
-    if merged["n_atoms"] is not None:
-        _check_count("n_atoms", merged["n_atoms"], 8)
-    _check_real("eps", merged["eps"], 0.0, 1.0)
-    _check_real("amplitude", merged["amplitude"], 0.0)
-    pair = merged["pair"]
-    if not (isinstance(pair, list) and len(pair) == 2
-            and all(is_integer(k) and k >= 0 for k in pair)):
-        raise ConfigError(f"pair must hold two non-negative integer indices, got {pair!r}")
+    cfg = _config(HardfnConfig, raw)
     # The pair indexes the built family, so the family is built here.
-    family = build_hard_family(
-        derive_rng(args.seed, 0), merged["d"], merged["eps"], merged["n_atoms"],
-        merged["amplitude"],
-    )
-    if max(pair) >= family.size:
-        raise ConfigError(f"pair {pair} out of range for family of size {family.size}")
-    return _Job(merged, family)
+    rng = derive_rng(args.seed, 0)
+    family = build_hard_family(rng, cfg.d, cfg.eps, cfg.n_atoms, cfg.amplitude)
+    if max(cfg.pair) >= family.size:
+        raise ValueError(f"pair {cfg.pair} out of range for family of size {family.size}")
+    return _Job(cfg, family)
 
 
 def _execute_hardfn(job, args) -> int:
-    merged, family = job.config, job.family
-    d, eps = merged["d"], merged["eps"]
-    i, j = merged["pair"]
+    cfg, family = job.config, job.family
+    d, eps = cfg.d, cfg.eps
+    i, j = cfg.pair
 
     lo, hi = atom_l2_constants(d)
     atom = atom_l2_norm(d, eps)
@@ -320,19 +279,19 @@ def _execute_hardfn(job, args) -> int:
 
     closed_dist = pair_sq_distance(family, i, j)
     mc_rng = derive_rng(args.seed, 1)
-    points = sample_uniform_ball(mc_rng, d, merged["l2_samples"])
+    points = sample_uniform_ball(mc_rng, d, cfg.l2_samples)
     gap = member_values(family, i, points) - member_values(family, j, points)
     vol = ball_volume(d)
     mc_dist = float(np.mean(gap**2) * vol)
-    dist_se = float(np.std(gap**2) * vol / np.sqrt(merged["l2_samples"]))
+    dist_se = float(np.std(gap**2) * vol / np.sqrt(cfg.l2_samples))
     dist_pass = abs(closed_dist - mc_dist) <= 4.0 * dist_se
 
     h = int(hamming(family.code.bits[i], family.code.bits[j]))
-    q_closed = indistinguishable_probability(d, eps, h, merged["n_obs"])
+    q_closed = indistinguishable_probability(d, eps, h, cfg.n_obs)
     q_mc = indistinguishable_probability_mc(
-        derive_rng(args.seed, 2), family, i, j, merged["n_obs"], merged["mc_trials"]
+        derive_rng(args.seed, 2), family, i, j, cfg.n_obs, cfg.mc_trials
     )
-    q_se = float(np.sqrt(max(q_closed * (1.0 - q_closed), 1e-12) / merged["mc_trials"]))
+    q_se = float(np.sqrt(max(q_closed * (1.0 - q_closed), 1e-12) / cfg.mc_trials))
     q_pass = abs(q_closed - q_mc) <= 4.0 * q_se
 
     payload = {
@@ -354,9 +313,8 @@ def _execute_hardfn(job, args) -> int:
         "pass": atom_pass and dist_pass and q_pass,
     }
     write_json(os.path.join(args.out, "hardfn.json"), payload)
-    write_manifest(
-        args.out, {"command": "hardfn-verify", "seed": args.seed, **merged}, ["hardfn.json"]
-    )
+    config = {"command": "hardfn-verify", "seed": args.seed, **dataclasses.asdict(cfg)}
+    write_manifest(args.out, config, ["hardfn.json"])
     print(
         f"atom_l2 pass={atom_pass}, pair_distance pass={dist_pass}, "
         f"indistinguishability pass={q_pass}"
@@ -365,18 +323,14 @@ def _execute_hardfn(job, args) -> int:
 
 
 def _prepare_rates(raw: dict, args):
-    merged = _merge({"dims": list(range(1, 11))}, raw, "config")
-    dims = merged["dims"]
-    if not (isinstance(dims, list) and dims and all(is_integer(d) and d >= 1 for d in dims)):
-        raise ConfigError(f"dims must be a nonempty list of positive integers, got {dims!r}")
-    return merged
+    return _config(RatesConfig, raw)
 
 
-def _execute_rates(merged: dict, args) -> int:
+def _execute_rates(cfg: RatesConfig, args) -> int:
     path = os.path.join(args.out, "rates.csv")
-    exponent_table_to_csv(path, merged["dims"])
-    write_manifest(args.out, {"command": "rates", **merged}, ["rates.csv"])
-    print(f"wrote exponent table for d in {merged['dims']} -> {path}")
+    exponent_table_to_csv(path, cfg.dims)
+    write_manifest(args.out, {"command": "rates", **dataclasses.asdict(cfg)}, ["rates.csv"])
+    print(f"wrote exponent table for d in {list(cfg.dims)} -> {path}")
     return 0
 
 
@@ -431,7 +385,7 @@ def main(argv=None) -> int:
             with open(args.config) as fh:
                 raw = json.load(fh)
             if not isinstance(raw, dict):
-                raise ConfigError("config file must hold a JSON object")
+                raise ValueError("config file must hold a JSON object")
         prepared = prepare(raw, args)
         os.makedirs(args.out, exist_ok=True)
     except _CONFIG_ERRORS as exc:

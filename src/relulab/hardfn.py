@@ -21,7 +21,9 @@ import numpy as np
 from scipy.special import beta as beta_fn
 from scipy.special import gamma as gamma_fn
 
-from relulab.numerics import make_rng, sample_uniform_ball
+from relulab.numerics import (
+    check_finite_fields, check_int_fields, is_integer, make_rng, sample_uniform_ball,
+)
 from relulab.weights import cap_moment, tail_probability
 
 __all__ = [
@@ -42,6 +44,8 @@ __all__ = [
     "indistinguishable_probability",
     "indistinguishable_probability_mc",
     "ball_volume",
+    "VgnormConfig",
+    "HardfnConfig",
 ]
 
 
@@ -383,3 +387,46 @@ def indistinguishable_probability_mc(
         misses += int(np.sum(~hit))
         done += m
     return misses / trials
+
+
+@dataclass(frozen=True)
+class VgnormConfig:
+    """Settings of ``vgnorm``: the code length k and the code's target size
+    (None for ceil(2^(k/8))), which :func:`varshamov_gilbert` checks."""
+
+    code_length: int = 16
+    target: int | None = None
+
+    def __post_init__(self):
+        check_int_fields(self)
+        check_finite_fields(self)
+        if self.code_length < 8:
+            raise ValueError(f"code_length must be >= 8, got {self.code_length}")
+
+
+@dataclass(frozen=True)
+class HardfnConfig:
+    """Settings of ``hardfn-verify``.  :func:`build_hard_family` checks ``d``,
+    ``eps``, ``amplitude`` and too few atoms.  More than 8 log2(MAX_CODE_WORDS)
+    = 80 atoms can never build a code, and the cap packing would spend up to
+    50 rejections per atom looking for them."""
+
+    d: int = 3
+    eps: float = 0.2
+    n_atoms: int | None = None
+    amplitude: float = 1.0
+    pair: tuple = (0, 1)
+    n_obs: int = 50
+    mc_trials: int = 20000
+    l2_samples: int = 200000
+
+    def __post_init__(self):
+        check_int_fields(self)
+        check_finite_fields(self)
+        if self.n_atoms is not None and self.n_atoms > 8 * math.log2(MAX_CODE_WORDS):
+            raise ValueError(f"n_atoms must be null or at most 80, got {self.n_atoms}")
+        if not (isinstance(self.pair, (list, tuple)) and len(self.pair) == 2
+                and all(is_integer(k) and k >= 0 for k in self.pair)):
+            raise ValueError(f"pair must hold two non-negative indices, got {self.pair!r}")
+        if self.n_obs < 0 or self.mc_trials < 1 or self.l2_samples < 1:
+            raise ValueError("n_obs must be >= 0, and mc_trials and l2_samples >= 1")

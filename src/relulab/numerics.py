@@ -238,13 +238,14 @@ def is_integer(value) -> bool:
 
 
 def check_int_fields(obj) -> None:
-    """Raise ``ValueError`` if an int-annotated field of the dataclass
-    instance ``obj`` holds anything but an integer (2.5 epochs or a
-    sharpness reading every 1.5 steps would otherwise pass the range
-    checks and then fail or misbehave mid-run)."""
+    """Raise ``ValueError`` if an ``int`` field of the dataclass instance
+    ``obj`` holds anything but an integer, or an ``int | None`` field holds
+    anything but an integer or None (2.5 epochs or a sharpness reading every
+    1.5 steps would otherwise pass the range checks and then misbehave)."""
     for field in dataclasses.fields(obj):
         value = getattr(obj, field.name)
-        if field.type == "int" and not is_integer(value):
+        optional = field.type == "int | None"
+        if (field.type == "int" or optional and value is not None) and not is_integer(value):
             raise ValueError(f"{field.name} must be an integer, got {value!r}")
 
 

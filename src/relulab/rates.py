@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from relulab.numerics import write_csv
+from relulab.numerics import check_finite_fields, check_int_fields, is_integer, write_csv
 
 __all__ = [
     "RATE_KINDS",
@@ -32,6 +32,7 @@ __all__ = [
     "compare_slopes",
     "exponent_table",
     "exponent_table_to_csv",
+    "RatesConfig",
 ]
 
 RATE_KINDS = (
@@ -99,3 +100,18 @@ def exponent_table(d_values=range(1, 11)) -> list[dict]:
 def exponent_table_to_csv(path, d_values=range(1, 11)) -> None:
     """Rates written as exact fraction strings (e.g. ``4/11``)."""
     write_csv(path, ("d", *RATE_KINDS), (row.values() for row in exponent_table(d_values)))
+
+
+@dataclass(frozen=True)
+class RatesConfig:
+    """Settings of ``rates``: the dimensions of the exponent table."""
+
+    dims: tuple = tuple(range(1, 11))
+
+    def __post_init__(self):
+        check_int_fields(self)
+        check_finite_fields(self)
+        dims = self.dims
+        if not (isinstance(dims, (list, tuple)) and dims
+                and all(is_integer(d) and d >= 1 for d in dims)):
+            raise ValueError(f"dims must be a nonempty list of positive integers, got {dims!r}")

@@ -40,7 +40,7 @@ from relulab.nets import (
     param_count,
     to_reduced_form,
 )
-from relulab.numerics import power_iteration
+from relulab.numerics import check_finite_fields, check_int_fields, power_iteration
 from relulab.weights import g_empirical, tilde_g_empirical
 
 __all__ = [
@@ -50,6 +50,7 @@ __all__ = [
     "sharpness",
     "gauss_newton_sharpness",
     "term_a_lower_bound",
+    "CertificateConfig",
     "RegularityCertificate",
     "regularity_certificate",
 ]
@@ -209,6 +210,20 @@ def term_a_lower_bound(net: TwoLayerNet, data: Dataset) -> float:
 
 
 @dataclass(frozen=True)
+class CertificateConfig:
+    """Eigen-solver settings of :func:`regularity_certificate`; its defaults."""
+
+    certificate_rel_tol: float = 1e-10
+    certificate_max_iters: int = 20000
+
+    def __post_init__(self):
+        check_int_fields(self)
+        check_finite_fields(self)
+        if self.certificate_rel_tol <= 0.0 or self.certificate_max_iters < 1:
+            raise ValueError("certificate tolerances must be positive")
+
+
+@dataclass(frozen=True)
 class RegularityCertificate:
     """Numerical certificate tying flatness to weighted-variation smallness.
 
@@ -232,8 +247,8 @@ class RegularityCertificate:
 def regularity_certificate(
     net: TwoLayerNet,
     data: Dataset,
-    rel_tol: float = 1e-10,
-    max_iters: int = 20000,
+    rel_tol: float = CertificateConfig.certificate_rel_tol,
+    max_iters: int = CertificateConfig.certificate_max_iters,
     rng=None,
 ) -> RegularityCertificate:
     """Check the flatness-implies-regularity inequality at ``net``.

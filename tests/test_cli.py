@@ -1,6 +1,7 @@
 """End-to-end CLI runs, in process via main(argv)."""
 
 import argparse
+import dataclasses
 import json
 import tracemalloc
 
@@ -115,6 +116,13 @@ class TestExitCodes:
             # A repeated grid entry would run its cells twice.
             ("sweep-mse", {"dims": [1, 1]}),
             ("sweep-mse", {"sample_sizes": [8, 8]}),
+            # More atoms than any code can take; the cap packing would
+            # otherwise search 50 * n_atoms + 1000 candidates first.
+            ("hardfn-verify", {"n_atoms": 81}),
+            ("hardfn-verify", {"n_atoms": 10**9}),
+            # Too large to allocate, or to compute the default target of.
+            ("vgnorm", {"code_length": 10**15, "target": 2}),
+            ("vgnorm", {"code_length": 10**4}),
         ],
     )
     def test_bad_values_rejected_before_the_run(self, command, raw, tmp_path):
@@ -169,14 +177,16 @@ DEFAULT_CONFIG_HASHES = {
 def _pinned_form(prepared) -> dict:
     """Canonical dict of what a command's prepare step hands its executor.
 
-    train, sweep-mse and shatter get a config dataclass; sharpness gets its
-    cell config with the certificate settings; the rest get a plain dict.
+    train, sweep-mse and shatter get a config dataclass with ``as_dict``;
+    sharpness gets its cell config and its certificate config; vgnorm and
+    hardfn-verify get a job holding their config; rates gets its config.
     """
     if isinstance(prepared, tuple):
-        cfg, extra = prepared
-        certificate = {k: v for k, v in extra.items() if k.startswith("certificate_")}
-        return {**cfg.as_dict(), **certificate}
-    return prepared if isinstance(prepared, dict) else prepared.as_dict()
+        cfg, certificate = prepared
+        return {**cfg.as_dict(), **dataclasses.asdict(certificate)}
+    if hasattr(prepared, "as_dict"):
+        return prepared.as_dict()
+    return dataclasses.asdict(getattr(prepared, "config", prepared))
 
 
 class TestDefaults:

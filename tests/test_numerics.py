@@ -3,6 +3,7 @@
 Oracle values are hand-derived or closed-form and noted next to each check.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from relulab.numerics import (
     PowerIterationResult,
+    check_int_fields,
     derive_rng,
     loglog_slope,
     make_rng,
@@ -153,3 +155,29 @@ class TestLoglogSlope:
             loglog_slope([(1.0, 2.0), (2.0, -1.0)])
         with pytest.raises(ValueError):
             loglog_slope([(0.0, 2.0), (2.0, 1.0)])
+
+
+@dataclasses.dataclass(frozen=True)
+class _Counts:
+    # String annotations, as under ``from __future__ import annotations``.
+    count: "int" = 1
+    limit: "int | None" = None
+
+    def __post_init__(self):
+        check_int_fields(self)
+
+
+class TestCheckIntFields:
+    @pytest.mark.parametrize("limit", [None, 0, 7, np.int64(3)])
+    def test_integers_and_none_pass(self, limit):
+        assert _Counts(limit=limit).limit is limit
+
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "3"])
+    @pytest.mark.parametrize("name", ["count", "limit"])
+    def test_non_integers_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            _Counts(**{name: value})
+
+    def test_none_rejected_in_a_plain_int_field(self):
+        with pytest.raises(ValueError, match="count must be an integer"):
+            _Counts(count=None)
