@@ -35,6 +35,7 @@ __all__ = [
     "pack_caps",
     "SignFamily",
     "MAX_CODE_WORDS",
+    "MAX_ATOMS",
     "varshamov_gilbert",
     "HardFamily",
     "build_hard_family",
@@ -132,6 +133,9 @@ class CapPacking:
         return self.centers.shape[1]
 
 
+_UNTARGETED_REJECTS = 2000
+
+
 def pack_caps(rng, d: int, eps: float, target: int | None = None) -> CapPacking:
     """Greedily pack cap centers with pairwise dot at most cos(2 theta),
     theta = arccos(1 - eps^2), so the atom supports cannot overlap.
@@ -142,14 +146,19 @@ def pack_caps(rng, d: int, eps: float, target: int | None = None) -> CapPacking:
     50 * target + 1000 consecutive rejections (2000 when no target is
     given).
     """
+    if target is not None and target < 1:
+        raise ValueError(f"target must be >= 1, got {target}")
+    budget = _UNTARGETED_REJECTS if target is None else 50 * target + 1000
+    return _greedy_caps(rng, d, eps, target, budget)
+
+
+def _greedy_caps(rng, d: int, eps: float, target: int | None, reject_budget: int) -> CapPacking:
+    """The greedy search of :func:`pack_caps` with an explicit rejection budget."""
     eps = _check_eps(eps)
     if d < 2:
         raise ValueError(f"cap packing needs dimension >= 2, got {d}")
-    if target is not None and target < 1:
-        raise ValueError(f"target must be >= 1, got {target}")
     rng = make_rng(rng)
     cos_threshold = 2.0 * (1.0 - eps * eps) ** 2 - 1.0
-    reject_budget = 2000 if target is None else 50 * target + 1000
 
     accepted = np.empty((0, d))
     rejects = 0
@@ -213,6 +222,8 @@ def hamming(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # cost grows as target^2: 1024 words at k = 80 take about 0.1 s on one x86-64
 # core.
 MAX_CODE_WORDS = 1024
+# The longest code whose default target ceil(2^(k/8)) stays within the limit.
+MAX_ATOMS = 8 * int(math.log2(MAX_CODE_WORDS))
 
 
 def varshamov_gilbert(k: int, rng=None, target: int | None = None) -> SignFamily:
@@ -306,11 +317,18 @@ def build_hard_family(
     """Pack caps, build the distance code on them, and assemble the family.
 
     Raises if fewer than 8 disjoint caps fit (the code construction is
-    vacuous below that).
+    vacuous below that).  With ``n_atoms`` None the packing runs to
+    :func:`pack_caps`'s 2000 rejections, but stops at ``MAX_ATOMS + 1``
+    caps: no code covers more than ``MAX_ATOMS``, so the code search then
+    raises at once instead of after packing every cap that fits (thousands
+    at d = 10).
     """
     if amplitude <= 0.0:
         raise ValueError(f"amplitude must be positive, got {amplitude}")
-    packing = pack_caps(rng, d, eps, target=n_atoms)
+    if n_atoms is None:
+        packing = _greedy_caps(rng, d, eps, MAX_ATOMS + 1, _UNTARGETED_REJECTS)
+    else:
+        packing = pack_caps(rng, d, eps, target=n_atoms)
     if packing.count < 8:
         raise ValueError(
             f"only {packing.count} disjoint caps fit at d={d}, eps={eps}; "
@@ -407,9 +425,9 @@ class VgnormConfig:
 @dataclass(frozen=True)
 class HardfnConfig:
     """Settings of ``hardfn-verify``.  :func:`build_hard_family` checks ``d``,
-    ``eps``, ``amplitude`` and too few atoms.  More than 8 log2(MAX_CODE_WORDS)
-    = 80 atoms can never build a code, and the cap packing would spend up to
-    50 rejections per atom looking for them."""
+    ``eps``, ``amplitude`` and too few atoms.  More than ``MAX_ATOMS`` = 80
+    atoms can never build a code, and the cap packing would spend up to 50
+    rejections per atom looking for them."""
 
     d: int = 3
     eps: float = 0.2
@@ -423,8 +441,8 @@ class HardfnConfig:
     def __post_init__(self):
         check_int_fields(self)
         check_finite_fields(self)
-        if self.n_atoms is not None and self.n_atoms > 8 * math.log2(MAX_CODE_WORDS):
-            raise ValueError(f"n_atoms must be null or at most 80, got {self.n_atoms}")
+        if self.n_atoms is not None and self.n_atoms > MAX_ATOMS:
+            raise ValueError(f"n_atoms must be null or at most {MAX_ATOMS}, got {self.n_atoms}")
         if not (isinstance(self.pair, (list, tuple)) and len(self.pair) == 2
                 and all(is_integer(k) and k >= 0 for k in self.pair)):
             raise ValueError(f"pair must hold two non-negative indices, got {self.pair!r}")

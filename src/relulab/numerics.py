@@ -4,7 +4,9 @@ Everything stochastic in this package flows through an explicitly seeded
 :class:`numpy.random.Generator`, so any routine is reproducible from its seed
 alone.  The module also provides the uniform-ball sampler used throughout, a
 matrix-free power iteration that returns the largest *algebraic* eigenvalue
-of a symmetric operator, an ordinary least squares slope fit in log-log
+of a symmetric operator (plain iteration first, a shifted restart only when
+the spectrum turns out negative-dominated; its ``max_iters`` bounds every
+operator application), an ordinary least squares slope fit in log-log
 coordinates, the finiteness check that configs and records run on their
 float fields, with its counterpart for their integer fields, and the one
 writer of every CSV table.
@@ -129,17 +131,27 @@ def power_iteration(
 ) -> PowerIterationResult:
     """Largest algebraic eigenvalue of a symmetric operator, matrix-free.
 
-    Plain power iteration converges to the eigenvalue of largest *magnitude*,
-    which is wrong whenever the spectrum has a dominant negative tail.  A few
-    warmup applications of the raw operator produce an upper estimate ``c`` of
-    the spectral radius; the iteration then runs on ``A + c I``, whose largest
-    magnitude eigenvalue is ``lambda_max(A) + c``, and the shift is subtracted
-    at the end.
+    Phase 1 is plain power iteration on ``A`` from one random start.  It
+    converges to the eigenvalue of largest *magnitude*, so its answer is
+    kept only when that eigenvalue is positive, which is then
+    ``lambda_max(A)``: the Hessians measured here are positive-dominated, and
+    this is where almost every estimate ends.  Each application also updates
+    a radius estimate, the running maximum of ``||A v||``.  Phase 1 gives up
+    once the Rayleigh quotient is <= 0 after ``_WARMUP_STEPS`` applications,
+    or once it converges to an eigenvalue <= 0.
+
+    Phase 2 handles a negative-dominated spectrum.  It restarts from a fresh
+    draw of the same generator on ``A + c I``, with ``c`` the radius estimate
+    padded by ``_SHIFT_SAFETY``.  The largest magnitude eigenvalue of the
+    shifted operator is ``lambda_max(A) + c``, and the Rayleigh quotient is
+    taken on ``A`` itself.
 
     Convergence is declared when the residual ``||A v - lambda v||`` drops
-    below ``rel_tol * |lambda|`` for the unit iterate ``v``.  On exhaustion of
-    ``max_iters`` the result carries the last Rayleigh estimate with
-    ``converged=False``; no exception is raised.
+    below ``rel_tol * |lambda|`` for the unit iterate ``v`` (in phase 1, also
+    ``lambda > 0``).  ``max_iters`` bounds the applications of ``apply``
+    over both phases, and ``iterations`` counts the applications made.  On
+    exhaustion of ``max_iters`` the result carries the last Rayleigh
+    estimate with ``converged=False``; no exception is raised.
     """
     m = int(m)
     if m < 1:
@@ -150,42 +162,36 @@ def power_iteration(
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     gen = make_rng(rng if rng is not None else 0)
 
-    v = gen.standard_normal(m)
-    v /= np.linalg.norm(v)
+    def start() -> np.ndarray:
+        v0 = gen.standard_normal(m)
+        return v0 / np.linalg.norm(v0)
 
-    # Warmup on the raw operator: ||A v|| for unit v never exceeds the spectral
-    # radius, so the running maximum (padded by a safety factor) is a usable
-    # shift.  A zero image right away means v is in the kernel and the Rayleigh
-    # quotient 0 is exact for it.
-    radius_est = 0.0
-    for _ in range(_WARMUP_STEPS):
-        w = apply(v)
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return PowerIterationResult(value=0.0, vector=v, converged=True, iterations=0)
-        radius_est = max(radius_est, nw)
-        v = w / nw
-    shift = _SHIFT_SAFETY * radius_est
-
-    # Restart from a fresh direction: the warmup iterate has collapsed onto the
-    # dominant-magnitude eigenvector, which can have lost the component along
-    # the largest algebraic eigenvector entirely when the spectrum is
-    # negative-dominated.
-    v = gen.standard_normal(m)
-    v /= np.linalg.norm(v)
-
-    lam = 0.0
+    # ``shift`` stays 0 in phase 1.  ||A v|| for unit v never exceeds the
+    # spectral radius, so the running maximum padded by the safety factor is
+    # a usable shift for phase 2.
+    v = start()
+    shift = radius_est = lam = 0.0
     for it in range(1, max_iters + 1):
         aw = apply(v)
-        w = aw + shift * v
         lam = float(v @ aw)  # Rayleigh quotient of the unshifted operator
-        residual = float(np.linalg.norm(aw - lam * v))
-        if residual <= rel_tol * abs(lam):
+        converged = float(np.linalg.norm(aw - lam * v)) <= rel_tol * abs(lam)
+        if converged and (lam > 0.0 or shift):
             return PowerIterationResult(value=lam, vector=v, converged=True, iterations=it)
+        w = aw + shift * v
         nw = float(np.linalg.norm(w))
         if nw == 0.0:
-            # Shifted image vanished: v is an exact eigenvector of the shift.
+            # A zero image makes v an exact eigenvector: of A with eigenvalue
+            # 0 in phase 1, of the shift in phase 2.
             return PowerIterationResult(value=lam, vector=v, converged=True, iterations=it)
+        if not shift:
+            radius_est = max(radius_est, nw)
+            if lam <= 0.0 and (converged or it >= _WARMUP_STEPS):
+                # The iterate has collapsed onto the dominant-magnitude
+                # eigenvector, which can have lost the component along the
+                # largest algebraic one entirely: restart from a fresh draw.
+                shift = _SHIFT_SAFETY * radius_est
+                v = start()
+                continue
         v = w / nw
     return PowerIterationResult(value=lam, vector=v, converged=False, iterations=max_iters)
 

@@ -211,7 +211,11 @@ def term_a_lower_bound(net: TwoLayerNet, data: Dataset) -> float:
 
 @dataclass(frozen=True)
 class CertificateConfig:
-    """Eigen-solver settings of :func:`regularity_certificate`; its defaults."""
+    """Eigen-solver settings of :func:`regularity_certificate`; its defaults.
+
+    ``certificate_max_iters`` bounds the Hessian-vector products of each of
+    its two eigen-solves, the power iteration's shifted fallback included.
+    """
 
     certificate_rel_tol: float = 1e-10
     certificate_max_iters: int = 20000

@@ -47,6 +47,8 @@ class TrainConfig:
     only the power-iteration starts for that telemetry (the descent itself
     is deterministic), and the telemetry tolerances are looser than the
     defaults used for certificates since the readings feed wide bands.
+    ``telemetry_max_iters`` bounds the Hessian-vector products of one
+    reading, those of the power iteration's shifted fallback included.
     """
 
     eta: float

@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import json
+import time
 import tracemalloc
 
 import numpy as np
@@ -123,12 +124,17 @@ class TestExitCodes:
             # Too large to allocate, or to compute the default target of.
             ("vgnorm", {"code_length": 10**15, "target": 2}),
             ("vgnorm", {"code_length": 10**4}),
+            # Thousands of caps fit; the default packing stops one past the
+            # 80 that a code can take.
+            ("hardfn-verify", {"d": 10}),
         ],
     )
     def test_bad_values_rejected_before_the_run(self, command, raw, tmp_path):
         cfg = _write_config(tmp_path, raw)
         out = tmp_path / "o"
+        started = time.perf_counter()
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert time.perf_counter() - started < 2.0
         assert not out.exists()
 
     @pytest.mark.parametrize("command", sorted(cli._COMMANDS))

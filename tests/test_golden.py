@@ -73,7 +73,7 @@ GOLDEN = {
     },
     "sharpness": {
         "checkpoint.bin": "4c2fa045f4fdd1969efba5ffb4c8c2a071a22d632c31ee15b2325d866ff436bb",
-        "sharpness.json": "5e5281df2c584146b659df91eebc9ebd3680a2494e5caf1d371e4ded5acb3868",
+        "sharpness.json": "4384bdfaab73d40b685a9e4d00a26f334be3f8ad1d7c5a95d469fae35ab28cbe",
     },
     "hardfn": {
         "hardfn.json": "204310ffc3814947feac3056d782a0d877b43bce90828023fa019d34e197b774",
@@ -81,15 +81,15 @@ GOLDEN = {
     "sweep": {
         "failures.csv": "7b39adae08a041715d2472e4b2fa7599e95c4b822f674b009ef298910f211dac",
         "slopes.json": "a1c33b0c5bc767aec43bff3ffc76b68b7ca4a48b0ed9c538076ebed49f7e1cc0",
-        "sweep.csv": "b1f4a127cbc89c80365dc98d7559d5aec1aab9b827a68ed1d20778526c222735",
+        "sweep.csv": "380753504d757fc36ea0a00bdfe8ac3847e734d6db4379573895cc40759675c1",
     },
     "train": {
         "checkpoint.bin": "170b09ccc9fbb2a47ae83b6adceb56cb582127caa45245bb9d10abc447b20ccb",
-        "record.json": "c570a058afe836f7bfd087047d113c322e33b5d938cdc551f42d6f34010c8679",
-        "training_log.csv": "4964c0dd25abd11516a4e744e169dde7a36562946b3f9b7eeb79d77200928d54",
+        "record.json": "1d721b78a1e13042ba7cc7a211a21b887f69590ccb9512a349156a62858efb80",
+        "training_log.csv": "462dcec757b47a28a9645421885b3dc4f782fc43a2bd650da291b9cd98c3d9e4",
     },
     "shatter": {
-        "records.json": "c9c742ce3625c20221fe245229f932a3df01cb016481a585ac8aa1f9912339e1",
+        "records.json": "a20c3947af802ec3885c7fed8f3cbf8ae94b54e7e2bc413a7948dd79f636657e",
         "scatter_large_step.csv": "f98edee1536aa527d4113d2ba80b85c2336dfd48f6c3c4590cb6edc97fb3fc60",
         "scatter_weight_decay.csv": "cf707afef182c30be8ad7c945158e682ae0b11bc5086ecb074429c625046b5c5",
         "training_log_large_step.csv": "e1500f749d9974a94cc7cfd6afeb8c5b45523aa27e6a1a7cfa70781239194ea1",

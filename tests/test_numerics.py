@@ -12,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relulab.numerics import (
+    _SHIFT_SAFETY,
+    _WARMUP_STEPS,
     PowerIterationResult,
     check_int_fields,
     derive_rng,
@@ -128,6 +130,82 @@ class TestPowerIteration:
             power_iteration(_matvec(np.eye(2)), 2, rel_tol=0.0)
         with pytest.raises(ValueError):
             power_iteration(_matvec(np.eye(2)), 2, max_iters=0)
+
+
+def _counting(mat):
+    """Matvec closure that counts its applications in ``calls[0]``."""
+    calls = [0]
+
+    def apply(vec):
+        calls[0] += 1
+        return mat @ vec
+
+    return apply, calls
+
+
+def _rotated(eigenvalues, seed):
+    """Symmetric matrix with the given spectrum in a random orthonormal basis."""
+    q, _ = np.linalg.qr(make_rng(seed).standard_normal((len(eigenvalues), len(eigenvalues))))
+    return q @ np.diag(eigenvalues) @ q.T
+
+
+class TestPowerIterationPhases:
+    def test_positive_dominated_spectrum_needs_no_shifted_phase(self):
+        mat = np.diag([3.0, -1.0, 0.5])
+        apply, calls = _counting(mat)
+        res = power_iteration(apply, 3, rel_tol=1e-10, rng=make_rng(0))
+        assert res.converged
+        assert res.value == pytest.approx(np.linalg.eigvalsh(mat)[-1], rel=1e-12)
+        # What warm-up plus a shifted run on A + 1.5 rho I (rho = 3) would
+        # need from the same tolerance: its convergence ratio is 5/7.5
+        # against 1/3 unshifted.
+        shift = _SHIFT_SAFETY * 3.0
+        v = make_rng(0).standard_normal(3)
+        v /= np.linalg.norm(v)
+        shifted = 0
+        while True:
+            shifted += 1
+            av = mat @ v
+            lam = v @ av
+            if np.linalg.norm(av - lam * v) <= 1e-10 * abs(lam):
+                break
+            v = (av + shift * v) / np.linalg.norm(av + shift * v)
+        assert calls[0] == res.iterations
+        assert res.iterations < _WARMUP_STEPS + shifted
+
+    def test_negative_definite_operator(self):
+        mat = _rotated([-0.5, -2.0, -3.0, -7.0], seed=4)
+        res = power_iteration(_matvec(mat), 4, rel_tol=1e-11, max_iters=20000, rng=make_rng(5))
+        assert res.converged
+        assert res.value == pytest.approx(np.linalg.eigvalsh(mat)[-1], rel=1e-8)
+
+    @pytest.mark.parametrize("start", [7, 8])
+    @pytest.mark.parametrize("ratio", [1.001, 0.999])
+    def test_near_symmetric_spectrum(self, ratio, start):
+        # |lambda_n| just above or just below lambda_1.  From start 7 the
+        # Rayleigh quotient is negative after the warm-up and the shifted
+        # phase takes over; from start 8 it is positive, so phase 1 runs on,
+        # onto lambda_n and then into the shifted phase at ratio 1.001, and
+        # slowly onto lambda_1 at 0.999.
+        mat = _rotated([2.0, 0.7, 0.1, -0.4, -ratio * 2.0], seed=6)
+        res = power_iteration(_matvec(mat), 5, rel_tol=1e-7, max_iters=50000, rng=make_rng(start))
+        assert res.converged
+        assert res.value == pytest.approx(np.linalg.eigvalsh(mat)[-1], rel=1e-8)
+
+    @pytest.mark.parametrize(
+        "eigenvalues,max_iters",
+        [
+            ([3.0, -1.0, 0.5], 2000),  # phase 1 converges
+            ([1.0, 1.0 - 1e-9, 0.2], 5),  # phase 1 runs out
+            ([1.0, -10.0, 0.5], 2000),  # fallback converges
+            ([1.0, -1.3, 0.99], _WARMUP_STEPS + 3),  # fallback runs out
+            ([0.0, 0.0, 0.0], 2000),  # zero image
+        ],
+    )
+    def test_iterations_count_every_application(self, eigenvalues, max_iters):
+        apply, calls = _counting(np.diag(eigenvalues))
+        res = power_iteration(apply, 3, rel_tol=1e-12, max_iters=max_iters, rng=make_rng(8))
+        assert res.iterations == calls[0] <= max_iters
 
 
 class TestLoglogSlope:
