@@ -41,12 +41,12 @@ from relulab.nets import (
     to_reduced_form,
 )
 from relulab.numerics import (
-    PowerIterationResult,
+    EigenEstimate,
     derive_rng,
     loglog_slope,
     make_rng,
-    power_iteration,
     sample_uniform_ball,
+    top_eigenpair,
 )
 from relulab.rates import compare_slopes, exponent_table, predicted_exponent
 # The function ``sharpness`` is not re-exported here: binding it on the

@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import beta as beta_fn
-from scipy.special import gamma as gamma_fn
 
 from relulab.numerics import (
     check_finite_fields, check_int_fields, is_integer, make_rng, sample_uniform_ball,
@@ -72,12 +70,16 @@ def relu_atom(points: np.ndarray, u: np.ndarray, eps: float) -> np.ndarray:
 
 def ball_volume(d: int) -> float:
     """Lebesgue volume of the unit ball in R^d."""
-    return math.pi ** (d / 2) / gamma_fn(d / 2 + 1)
+    from scipy.special import gamma  # here, not at module level: import relulab stays scipy-free
+
+    return math.pi ** (d / 2) / gamma(d / 2 + 1)
 
 
 def _slice_volume_constant(d: int) -> float:
     # Volume of the unit ball in R^(d-1); the d = 1 slice is a point, volume 1.
-    return math.pi ** ((d - 1) / 2) / gamma_fn((d + 1) / 2)
+    from scipy.special import gamma
+
+    return math.pi ** ((d - 1) / 2) / gamma((d + 1) / 2)
 
 
 def atom_l2_norm(d: int, eps: float) -> float:
@@ -105,7 +107,9 @@ def atom_l2_constants(d: int) -> tuple[float, float]:
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    j = beta_fn(3.0, (d + 1) / 2.0)
+    from scipy.special import beta
+
+    j = beta(3.0, (d + 1) / 2.0)
     v = _slice_volume_constant(d)
     lo = math.sqrt(v * (7.0 / 4.0) ** ((d - 1) / 2.0) * j)
     hi = math.sqrt(v * 2.0 ** ((d - 1) / 2.0) * j)
@@ -160,8 +164,9 @@ def _greedy_caps(rng, d: int, eps: float, target: int | None, reject_budget: int
     rng = make_rng(rng)
     cos_threshold = 2.0 * (1.0 - eps * eps) ** 2 - 1.0
 
-    accepted = np.empty((0, d))
-    rejects = 0
+    # Centers fill the first ``count`` rows of a buffer that doubles when full.
+    accepted = np.empty((target or 64, d))
+    count = rejects = 0
 
     def candidate_stream():
         yield from np.vstack([np.eye(d), -np.eye(d)])
@@ -172,17 +177,20 @@ def _greedy_caps(rng, d: int, eps: float, target: int | None, reject_budget: int
             yield from batch[keep] / norms[keep, None]
 
     for cand in candidate_stream():
-        if len(accepted) and np.max(accepted @ cand) > cos_threshold:
+        if count and np.max(accepted[:count] @ cand) > cos_threshold:
             rejects += 1
             if rejects >= reject_budget:
                 break
             continue
-        accepted = np.vstack([accepted, cand[None, :]])
+        if count == len(accepted):
+            accepted = np.concatenate([accepted, np.empty_like(accepted)])
+        accepted[count] = cand
+        count += 1
         rejects = 0
-        if target is not None and len(accepted) >= target:
+        if count == target:
             break
 
-    return CapPacking(centers=accepted, eps=eps, cos_threshold=cos_threshold)
+    return CapPacking(centers=accepted[:count].copy(), eps=eps, cos_threshold=cos_threshold)
 
 
 # ---------------------------------------------------------------------------

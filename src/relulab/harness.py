@@ -23,7 +23,6 @@ import platform
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from importlib import metadata
 
 import numpy as np
 
@@ -283,7 +282,7 @@ def _measure_cell(chash, key, log, data, sigma, train_config, holdout_size):
         rel_tol=train_config.telemetry_rel_tol,
         max_iters=train_config.telemetry_max_iters,
         rng=cell_rng(*key, SHARPNESS_CHANNEL),
-    )
+    ).value
     stats = neuron_stats(net, data.inputs)
     report = shattering_report(stats)
     record = RunRecord(
@@ -690,6 +689,8 @@ def write_manifest(directory, config_dict: dict, filenames) -> str:
     Deliberately timestamp-free so reruns are byte-identical.  Returns the
     manifest path.
     """
+    from importlib import metadata  # here: it costs every import of relulab otherwise
+
     manifest = {
         "schema": SWEEP_SCHEMA,
         "config": config_dict,

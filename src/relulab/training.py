@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from relulab.nets import Dataset, TwoLayerNet, _grad_flat, loss, pack_params, unpack_params
-from relulab.numerics import check_finite_fields, check_int_fields, make_rng, write_csv
+from relulab.numerics import check_finite_fields, check_int_fields, write_csv
 from relulab.sharpness import sharpness
 
 __all__ = [
@@ -44,11 +44,12 @@ class TrainConfig:
     outer biases are excluded from the penalty.  ``sharpness_every`` = 0
     disables the eigenvalue telemetry; a positive value records the loss
     Hessian's top eigenvalue after every that-many steps.  ``seed`` feeds
-    only the power-iteration starts for that telemetry (the descent itself
+    only the start vector of that telemetry's first reading (each later one
+    starts from the eigenvector of the reading before; the descent itself
     is deterministic), and the telemetry tolerances are looser than the
     defaults used for certificates since the readings feed wide bands.
     ``telemetry_max_iters`` bounds the Hessian-vector products of one
-    reading, those of the power iteration's shifted fallback included.
+    reading.
     """
 
     eta: float
@@ -146,7 +147,7 @@ def train(net: TwoLayerNet, data: Dataset, config: TrainConfig) -> TrainLog:
     losses = np.empty(config.epochs)
     sharp_events = []
     clip_epochs = []
-    pi_rng = make_rng(config.seed)
+    top_vector = None
 
     for t in range(config.epochs):
         theta, loss_val, clipped = gd_step_flat(theta, x, y, d, k, config, mask)
@@ -158,19 +159,16 @@ def train(net: TwoLayerNet, data: Dataset, config: TrainConfig) -> TrainLog:
         if clipped:
             clip_epochs.append(t + 1)
         if config.sharpness_every > 0 and (t + 1) % config.sharpness_every == 0:
-            current = unpack_params(theta, d, k)
-            sharp_events.append(
-                (
-                    t + 1,
-                    sharpness(
-                        current,
-                        data,
-                        rel_tol=config.telemetry_rel_tol,
-                        max_iters=config.telemetry_max_iters,
-                        rng=pi_rng,
-                    ),
-                )
+            estimate = sharpness(
+                unpack_params(theta, d, k),
+                data,
+                rel_tol=config.telemetry_rel_tol,
+                max_iters=config.telemetry_max_iters,
+                rng=config.seed,
+                v0=top_vector,
             )
+            top_vector = estimate.vector
+            sharp_events.append((t + 1, estimate.value))
 
     final_net = unpack_params(theta, d, k)
     final_loss = loss(final_net, data)

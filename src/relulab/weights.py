@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
 from relulab.nets import _block_buffer, _preact_blocks
 
@@ -87,6 +86,8 @@ def tail_probability(d: int, x: float) -> float:
         return 0.0
     if x <= -1.0:
         return 1.0
+    from scipy import special  # here, not at module level: import relulab stays scipy-free
+
     half = 0.5 * float(special.betainc((d + 1) / 2.0, 0.5, (1.0 - x) * (1.0 + x)))
     return half if x >= 0.0 else 1.0 - half
 
@@ -97,6 +98,8 @@ def cap_moment(d: int, j: int, a: float) -> float:
     Euler's integral (DLMF 15.6.1) gives a^(p+j+1) 2^p B(p+1, j+1)
     2F1(-p, p+1; p+j+2; a/2), which keeps relative accuracy for small caps.
     """
+    from scipy import special
+
     d = _check_dim(d)
     p = (d - 1) / 2.0
     coeff = a ** (p + j + 1) * 2.0 ** p * special.beta(p + 1.0, j + 1.0)

@@ -101,8 +101,43 @@ class TestAtomGeometry:
             atom_threshold(1.0)
 
 
+def _vstack_caps(rng, d, eps, target):
+    """The greedy packing with one ``np.vstack`` per accepted center, the
+    reference for pack_caps' filled buffer."""
+    cos_threshold = 2.0 * (1.0 - eps * eps) ** 2 - 1.0
+    budget = 2000 if target is None else 50 * target + 1000
+    accepted, rejects = np.empty((0, d)), 0
+
+    def candidates():
+        yield from np.vstack([np.eye(d), -np.eye(d)])
+        while True:
+            batch = rng.normal(size=(512, d))
+            norms = np.linalg.norm(batch, axis=1)
+            keep = norms > 1e-12
+            yield from batch[keep] / norms[keep, None]
+
+    for cand in candidates():
+        if len(accepted) and np.max(accepted @ cand) > cos_threshold:
+            rejects += 1
+            if rejects >= budget:
+                break
+            continue
+        accepted, rejects = np.vstack([accepted, cand[None, :]]), 0
+        if target is not None and len(accepted) >= target:
+            break
+    return accepted
+
+
 class TestCapPacking:
     RIGHT_ANGLE_EPS = math.sqrt(1.0 - math.sqrt(2.0) / 2.0)
+
+    # (3, 0.05) packs 403 caps, so the buffer doubles three times.
+    @pytest.mark.parametrize(
+        "d,eps,target", [(3, 0.05, None), (5, 0.2, None), (4, 0.2, 5), (3, 0.3, 40)]
+    )
+    def test_matches_the_vstack_reference_bit_for_bit(self, d, eps, target):
+        packing = pack_caps(make_rng(11), d, eps, target)
+        np.testing.assert_array_equal(packing.centers, _vstack_caps(make_rng(11), d, eps, target))
 
     def test_right_angle_regime_gives_exact_cross_polytope(self):
         # cos(2 theta) = 0 at this eps, so accepted directions must be

@@ -98,7 +98,7 @@ class TestHandTracedHessian:
         np.testing.assert_allclose(dense, self.GN, rtol=0, atol=1e-14)
 
     def test_sharpness_matches_dense_eigenvalue(self):
-        lam = sharpness(self.NET, self.DATA, rel_tol=1e-12, max_iters=50000)
+        lam = sharpness(self.NET, self.DATA, rel_tol=1e-12, max_iters=50000).value
         expected = np.linalg.eigvalsh(self.FULL)[-1]
         assert lam == pytest.approx(expected, rel=1e-9)
 
@@ -150,7 +150,7 @@ class TestSharpnessValues:
     def test_matches_dense_eigensolver(self, seed):
         rng = make_rng(2000 + seed)
         net, data = _random_instance(rng, 1, 2, 3)
-        lam = sharpness(net, data, rel_tol=1e-12, max_iters=100000)
+        lam = sharpness(net, data, rel_tol=1e-12, max_iters=100000).value
         dense = np.linalg.eigvalsh(_dense_from_fd(net, data))[-1]
         assert lam == pytest.approx(dense, rel=1e-6)
 
@@ -165,8 +165,8 @@ class TestSharpnessValues:
         # The residual part has operator norm at most 2(R + 1) sqrt(2 L).
         rng = make_rng(2200)
         net, data = _random_instance(rng, 2, 4, 9)
-        gn = gauss_newton_sharpness(net, data, rel_tol=1e-10, max_iters=50000)
-        full = sharpness(net, data, rel_tol=1e-10, max_iters=50000)
+        gn = gauss_newton_sharpness(net, data, rel_tol=1e-10, max_iters=50000).value
+        full = sharpness(net, data, rel_tol=1e-10, max_iters=50000).value
         slack = 2.0 * 2.0 * math.sqrt(2.0 * loss(net, data))
         assert gn <= full + slack + 1e-8
 
