@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from relulab.nets import TwoLayerNet, forward
 from relulab.numerics import (
     check_finite_fields, check_int_fields, is_integer, make_rng, sample_uniform_ball,
 )
@@ -26,7 +27,6 @@ from relulab.weights import cap_moment, tail_probability
 
 __all__ = [
     "atom_threshold",
-    "relu_atom",
     "atom_l2_norm",
     "atom_l2_constants",
     "CapPacking",
@@ -37,6 +37,7 @@ __all__ = [
     "varshamov_gilbert",
     "HardFamily",
     "build_hard_family",
+    "member_net",
     "member_values",
     "hamming",
     "pair_sq_distance",
@@ -58,14 +59,6 @@ def _check_eps(eps: float) -> float:
 def atom_threshold(eps: float) -> float:
     """Offset of the atom's kink: 1 - eps^2."""
     return 1.0 - _check_eps(eps) ** 2
-
-
-def relu_atom(points: np.ndarray, u: np.ndarray, eps: float) -> np.ndarray:
-    """Evaluate ``relu(u . x - (1 - eps^2))`` at each row of ``points``;
-    a (d, K) ``u`` of K directions as columns gives one column per atom."""
-    tau = atom_threshold(eps)
-    u = np.asarray(u, dtype=float)
-    return np.maximum(np.asarray(points, dtype=float) @ u - tau, 0.0)
 
 
 def ball_volume(d: int) -> float:
@@ -348,12 +341,23 @@ def build_hard_family(
     )
 
 
+def member_net(family: HardFamily, index: int) -> TwoLayerNet:
+    """Family member ``index`` as a two-layer network: one neuron per atom,
+    w = the cap centers, b = 1 - eps^2, v = amplitude eps^{-2} signs[index]
+    and beta = 0."""
+    return TwoLayerNet(
+        w=family.centers,
+        b=np.full(family.n_atoms, atom_threshold(family.eps)),
+        v=family.amplitude / family.eps ** 2 * family.code.signs[index],
+        beta=0.0,
+    )
+
+
 def member_values(family: HardFamily, index: int, points: np.ndarray) -> np.ndarray:
-    """Evaluate family member ``index`` at each row of ``points``."""
-    x = np.atleast_2d(np.asarray(points, dtype=float))
-    acts = relu_atom(x, family.centers.T, family.eps)
-    scale = family.amplitude / family.eps ** 2
-    return scale * (acts @ family.code.signs[index])
+    """Evaluate family member ``index`` at each row of ``points`` through
+    :func:`relulab.nets.forward`, one block of rows at a time.  The caps are
+    disjoint, so each value is one atom's activation times its v."""
+    return forward(member_net(family, index), points)
 
 
 def pair_sq_distance(family: HardFamily, i: int, j: int) -> float:

@@ -40,7 +40,9 @@ from .numerics import (
 )
 from .shattering import NeuronStats, neuron_stats, neuron_stats_to_csv, shattering_report
 from .sharpness import sharpness
-from .training import TrainConfig, TrainLog, TrainingDivergedError, train, train_log_to_csv
+from .training import (
+    TELEMETRY_REL_TOL, TrainConfig, TrainLog, TrainingDivergedError, train, train_log_to_csv,
+)
 
 __all__ = [
     "MSE_MODES",
@@ -279,7 +281,7 @@ def _measure_cell(chash, key, log, data, sigma, train_config, holdout_size):
     final_sharpness = sharpness(
         net,
         data,
-        rel_tol=train_config.telemetry_rel_tol,
+        rel_tol=TELEMETRY_REL_TOL,
         max_iters=train_config.telemetry_max_iters,
         rng=cell_rng(*key, SHARPNESS_CHANNEL),
     ).value
@@ -523,8 +525,6 @@ class ShatterConfig:
     eta_decay: float = 0.01
     weight_decay: float = 0.1
     clip_threshold: float = 10.0
-    sharpness_every: int = 0
-    telemetry_rel_tol: float = 1e-6
     telemetry_max_iters: int = 5000
     master_seed: int = 0
     output_dir: str | None = None
@@ -549,10 +549,7 @@ class ShatterConfig:
         common = dict(
             epochs=self.epochs,
             clip_threshold=self.clip_threshold,
-            sharpness_every=self.sharpness_every,
-            telemetry_rel_tol=self.telemetry_rel_tol,
             telemetry_max_iters=self.telemetry_max_iters,
-            seed=self.master_seed,
         )
         large = TrainConfig(eta=self.eta_large, **common)
         decay = TrainConfig(eta=self.eta_decay, weight_decay=self.weight_decay, **common)
@@ -610,11 +607,10 @@ def run_shattering_experiment(cfg: ShatterConfig) -> ShatterResult:
     The two trainings run side by side on two threads (one after the other
     where BLAS cannot be pinned), the large-step arm entering ``train``
     first, with numpy's BLAS held to one thread, so the bytes do not depend
-    on the core count.  With ``sharpness_every > 0`` each thread builds its
-    arm's telemetry Hessian operators.  Each arm is then measured in arm
-    order in the calling thread: a final-sharpness operator keeps an
-    (n, width) float array and mask, about 11 MiB at the paper's shape, and
-    measuring both arms at once would hold two.
+    on the core count.  Each arm is then measured in arm order in the
+    calling thread: a final-sharpness operator keeps an (n, width) float
+    array and mask, about 11 MiB at the paper's shape, and measuring both
+    arms at once would hold two.
 
     When ``cfg.output_dir`` is set, writes per-neuron scatter CSVs, per-arm
     training logs, a records JSON, and a manifest.

@@ -80,7 +80,8 @@ class TwoLayerNet:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Regression sample on the closed unit ball: inputs and labels only.
+    """Regression sample on the closed unit ball: inputs and labels only,
+    every value finite.
 
     The ground truth f0(x) = x_1 and the label noise level belong to the
     experiment harness, which draws the labels and measures against f0.
@@ -98,6 +99,8 @@ class Dataset:
             raise ValueError(f"labels shape {y.shape} does not match n={x.shape[0]}")
         if x.shape[0] < 1:
             raise ValueError("dataset must contain at least one point")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            raise ValueError("inputs and labels must be finite")
         norms = np.linalg.norm(x, axis=1)
         if np.any(norms > 1.0 + 1e-9):
             raise ValueError(

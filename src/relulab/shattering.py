@@ -18,12 +18,18 @@ from relulab.nets import TwoLayerNet, _preact_blocks
 from relulab.numerics import write_csv
 
 __all__ = [
+    "SPARSE_THRESHOLD",
     "NeuronStats",
     "ShatteringReport",
     "neuron_stats",
     "shattering_report",
     "neuron_stats_to_csv",
 ]
+
+# A neuron active on a positive fraction of the inputs no larger than this
+# is sparse: it fires on a sliver of the data.
+SPARSE_THRESHOLD = 0.10
+
 
 @dataclass(frozen=True)
 class NeuronStats:
@@ -45,14 +51,13 @@ class ShatteringReport:
     """Summary shares over the population of neurons.
 
     ``sparse_neuron_share`` counts neurons active on a positive fraction of inputs
-    no larger than the threshold; ``dead_neuron_share`` counts neurons that never
-    fire.  The two are disjoint.
+    no larger than :data:`SPARSE_THRESHOLD`; ``dead_neuron_share`` counts neurons
+    that never fire.  The two are disjoint.
     """
 
     sparse_neuron_share: float
     dead_neuron_share: float
     median_activation: float
-    sparse_threshold: float
 
 
 def neuron_stats(net: TwoLayerNet, inputs: np.ndarray) -> NeuronStats:
@@ -75,18 +80,15 @@ def neuron_stats(net: TwoLayerNet, inputs: np.ndarray) -> NeuronStats:
     )
 
 
-def shattering_report(stats: NeuronStats, sparse_threshold: float = 0.10) -> ShatteringReport:
+def shattering_report(stats: NeuronStats) -> ShatteringReport:
     """Aggregate a :class:`NeuronStats` into population shares."""
-    if not 0.0 < sparse_threshold < 1.0:
-        raise ValueError(f"sparse threshold must be in (0, 1), got {sparse_threshold}")
     f = stats.activation_fraction
-    sparse = np.mean((f > 0.0) & (f <= sparse_threshold))
+    sparse = np.mean((f > 0.0) & (f <= SPARSE_THRESHOLD))
     dead = np.mean(f == 0.0)
     return ShatteringReport(
         sparse_neuron_share=float(sparse),
         dead_neuron_share=float(dead),
         median_activation=float(np.median(f)),
-        sparse_threshold=sparse_threshold,
     )
 
 

@@ -22,6 +22,7 @@ from relulab.numerics import check_finite_fields, check_int_fields, write_csv
 from relulab.sharpness import sharpness
 
 __all__ = [
+    "TELEMETRY_REL_TOL",
     "TrainConfig",
     "TrainLog",
     "TrainingDivergedError",
@@ -35,31 +36,33 @@ class TrainingDivergedError(RuntimeError):
     """Loss or parameters stopped being finite during training."""
 
 
+# Relative Ritz-residual tolerance of every telemetry reading and of each
+# cell's final sharpness.  It is looser than the certificate's default,
+# since these readings feed wide bands.
+TELEMETRY_REL_TOL = 1e-6
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters for :func:`train`.
 
     ``weight_decay`` is the coefficient of the (1/2)||theta||^2 penalty,
-    applied through the gradient.  With ``decay_biases`` False the inner and
-    outer biases are excluded from the penalty.  ``sharpness_every`` = 0
-    disables the eigenvalue telemetry; a positive value records the loss
-    Hessian's top eigenvalue after every that-many steps.  ``seed`` feeds
-    only the start vector of that telemetry's first reading (each later one
-    starts from the eigenvector of the reading before; the descent itself
-    is deterministic), and the telemetry tolerances are looser than the
-    defaults used for certificates since the readings feed wide bands.
-    ``telemetry_max_iters`` bounds the Hessian-vector products of one
-    reading.
+    applied through the gradient to every parameter, biases included.
+    ``sharpness_every`` = 0 disables the eigenvalue telemetry; a positive
+    value records the loss Hessian's top eigenvalue after every that-many
+    steps, to :data:`TELEMETRY_REL_TOL`.  ``seed`` feeds only the start
+    vector of that telemetry's first reading (each later one starts from
+    the eigenvector of the reading before; the descent itself is
+    deterministic).  ``telemetry_max_iters`` bounds the Hessian-vector
+    products of one reading.
     """
 
     eta: float
     epochs: int
     clip_threshold: float = 50.0
     weight_decay: float = 0.0
-    decay_biases: bool = True
     seed: int = 0
     sharpness_every: int = 0
-    telemetry_rel_tol: float = 1e-6
     telemetry_max_iters: int = 5000
 
     def __post_init__(self):
@@ -77,8 +80,8 @@ class TrainConfig:
             raise ValueError(f"sharpness_every must be >= 0, got {self.sharpness_every}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.telemetry_rel_tol <= 0.0 or self.telemetry_max_iters < 1:
-            raise ValueError("telemetry tolerances must be positive")
+        if self.telemetry_max_iters < 1:
+            raise ValueError(f"telemetry_max_iters must be >= 1, got {self.telemetry_max_iters}")
 
 
 @dataclass(frozen=True)
@@ -98,14 +101,6 @@ class TrainLog:
     clip_epochs: tuple = field(default_factory=tuple)
 
 
-def _decay_mask(d: int, k: int, decay_biases: bool) -> np.ndarray:
-    mask = np.ones(k * d + 2 * k + 1)
-    if not decay_biases:
-        mask[k * d : k * d + k] = 0.0  # inner biases
-        mask[-1] = 0.0                 # output bias
-    return mask
-
-
 def gd_step_flat(
     theta: np.ndarray,
     x: np.ndarray,
@@ -113,7 +108,6 @@ def gd_step_flat(
     d: int,
     k: int,
     config: TrainConfig,
-    decay_mask: np.ndarray | None = None,
 ):
     """One full-batch step on the flat layout.
     Returns (theta_next, loss_before, clipped).
@@ -123,9 +117,7 @@ def gd_step_flat(
     """
     grad, loss_val = _grad_flat(theta, x, y, d, k)
     if config.weight_decay > 0.0:
-        if decay_mask is None:
-            decay_mask = _decay_mask(d, k, config.decay_biases)
-        grad = grad + config.weight_decay * (theta * decay_mask)
+        grad = grad + config.weight_decay * theta
     gnorm = float(np.linalg.norm(grad))
     clipped = gnorm > config.clip_threshold
     if clipped:
@@ -142,7 +134,6 @@ def train(net: TwoLayerNet, data: Dataset, config: TrainConfig) -> TrainLog:
     d, k = net.input_dim, net.width
     theta = pack_params(net)
     x, y = data.inputs, data.labels
-    mask = _decay_mask(d, k, config.decay_biases) if config.weight_decay > 0.0 else None
 
     losses = np.empty(config.epochs)
     sharp_events = []
@@ -150,7 +141,7 @@ def train(net: TwoLayerNet, data: Dataset, config: TrainConfig) -> TrainLog:
     top_vector = None
 
     for t in range(config.epochs):
-        theta, loss_val, clipped = gd_step_flat(theta, x, y, d, k, config, mask)
+        theta, loss_val, clipped = gd_step_flat(theta, x, y, d, k, config)
         if not np.isfinite(loss_val) or not np.all(np.isfinite(theta)):
             raise TrainingDivergedError(
                 f"non-finite loss or parameters at epoch {t} (eta={config.eta})"
@@ -162,7 +153,7 @@ def train(net: TwoLayerNet, data: Dataset, config: TrainConfig) -> TrainLog:
             estimate = sharpness(
                 unpack_params(theta, d, k),
                 data,
-                rel_tol=config.telemetry_rel_tol,
+                rel_tol=TELEMETRY_REL_TOL,
                 max_iters=config.telemetry_max_iters,
                 rng=config.seed,
                 v0=top_vector,

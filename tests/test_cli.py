@@ -170,10 +170,10 @@ COMMANDS = ("train", "sweep-mse", "shatter", "sharpness", "vgnorm", "hardfn-veri
 # config_hash of the config each command prepares with no --config and the
 # default --seed; see _pinned_form for what is hashed.
 DEFAULT_CONFIG_HASHES = {
-    "train": "3e08662075799726001004b4f7899340fb902f4436803665d606f792a74822c9",
-    "sweep-mse": "98a8dd723c5333df24c7041c144ba19d2a4a28923845e27b1d3f5c2131824993",
-    "shatter": "cc1bcceefe46d871132acaad1698d998c4ed04cd9fe78612dddd4418a3c32728",
-    "sharpness": "d7f825f00ede53772054736420d1a28b946ceb304c9cfecd0dcf2c21192bfd95",
+    "train": "665355aaf6b3958fe013a0f48190da58e6a584cddd3d231b1d4315b19d849b12",
+    "sweep-mse": "64685bf2ccd85780b17f1fab0d386fd9cba53ff9170ff2c5b686054c4738286d",
+    "shatter": "00dd6eb74d378616be3a6ff4793d8e2af20a72d6fdb8ac62a25be0c3e0bc2c03",
+    "sharpness": "ab119c943ec00bf6d94a37523095f49e4ca0f4c00663053c67f8f55a1724f035",
     "vgnorm": "505c6282ddc9a2e072104f665421d623d0e96ce54ec911b82102212b720a1f86",
     "hardfn-verify": "bc69b7cc0a963aef647b8b75c4c0bfdd42f4aa7377cdcb31e5343642f1152e3b",
     "rates": "14726b3adc919531193fd55cee7039faca85eb91f1d19cedff45fa3558e6b7c5",
@@ -216,6 +216,25 @@ class TestDefaults:
         cfg = _write_config(tmp_path, {"train": {"seed": 5}})
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "unknown train keys: ['seed']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,raw,message",
+        [
+            (command, {"train": {key: value}}, f"unknown train keys: ['{key}']")
+            for command in ("train", "sweep-mse", "sharpness")
+            for key, value in (("decay_biases", False), ("telemetry_rel_tol", 1e-6))
+        ]
+        + [
+            ("shatter", {key: value}, f"unknown config keys: ['{key}']")
+            for key, value in (("telemetry_rel_tol", 1e-6), ("sharpness_every", 10))
+        ],
+    )
+    def test_retired_keys_rejected(self, command, raw, message, tmp_path, capsys):
+        # Weight decay covers every parameter, the telemetry tolerance is a
+        # constant and the shatter arms take no telemetry.
+        cfg = _write_config(tmp_path, raw)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestTrainCommand:

@@ -8,10 +8,11 @@ records the Python and library versions of the machine that wrote it.
 The hashes were made with numpy 2.4.6 and scipy 1.17.1 (OpenBLAS, x86-64).
 BLAS kernels may round differently on another build or CPU, so a mismatch on
 a different stack is not by itself a fault in relulab.  The sweep, shatter,
-train and sharpness runs also reproduce their hashes in a fresh process under
-either OpenBLAS thread count: the harness holds BLAS to one thread whatever
-it is set to.  The sharpness run's certificate is computed outside that pin,
-and at this shape its bytes do not depend on the thread count either.
+train, sharpness and hardfn-verify runs also reproduce their hashes in a
+fresh process under either OpenBLAS thread count: the harness holds BLAS to
+one thread whatever it is set to.  The sharpness run's certificate and the
+hardfn-verify runs are computed outside that pin, and at these shapes their
+bytes do not depend on the thread count either.
 """
 
 import hashlib
@@ -75,7 +76,7 @@ GOLDEN = {
     },
     "sharpness": {
         "checkpoint.bin": "4c2fa045f4fdd1969efba5ffb4c8c2a071a22d632c31ee15b2325d866ff436bb",
-        "sharpness.json": "28a7918f4f566b451d1c364154e169f13b8939096051c2b17ba9cf537ab90dd6",
+        "sharpness.json": "0ce8eab0a648feb39b55e3d427215e8732ed394ad2060af3c99e289d3ce12026",
     },
     "hardfn": {
         "hardfn.json": "204310ffc3814947feac3056d782a0d877b43bce90828023fa019d34e197b774",
@@ -83,15 +84,15 @@ GOLDEN = {
     "sweep": {
         "failures.csv": "7b39adae08a041715d2472e4b2fa7599e95c4b822f674b009ef298910f211dac",
         "slopes.json": "a1c33b0c5bc767aec43bff3ffc76b68b7ca4a48b0ed9c538076ebed49f7e1cc0",
-        "sweep.csv": "5c277aa3965aee8be483615965911716beb7568f23abc0a8df4d85fbd994b6ac",
+        "sweep.csv": "5ca302cb55aeefab9f2d76d08ca1821cb99038655346fd81d7c5d16c90e372b6",
     },
     "train": {
         "checkpoint.bin": "170b09ccc9fbb2a47ae83b6adceb56cb582127caa45245bb9d10abc447b20ccb",
-        "record.json": "dd49e73d22d020eacc713699c4a4b9a4627c6dec6861bd00d6b67da2edd76150",
+        "record.json": "1065143fe318556794692aff03426af4695560ef193c56cf888ac27bd2bb60b8",
         "training_log.csv": "232bf9ac69416d9c21ec37b9853149dd33397f53d0bbd583cbe16713919d165e",
     },
     "shatter": {
-        "records.json": "5b0f2da291e111f3e7af89009626815038a85ce71427483371abcfbf9708de60",
+        "records.json": "1f5963639df168cd23c286b901c48380052b73b6562a4da6ed9d717dc026a067",
         "scatter_large_step.csv": "f98edee1536aa527d4113d2ba80b85c2336dfd48f6c3c4590cb6edc97fb3fc60",
         "scatter_weight_decay.csv": "cf707afef182c30be8ad7c945158e682ae0b11bc5086ecb074429c625046b5c5",
         "training_log_large_step.csv": "e1500f749d9974a94cc7cfd6afeb8c5b45523aa27e6a1a7cfa70781239194ea1",
@@ -121,7 +122,7 @@ def test_cli_artifacts_match_golden_hashes(run, tmp_path):
 
 
 @pytest.mark.parametrize("blas_threads", ["1", "2"])
-@pytest.mark.parametrize("run", ["sweep", "shatter", "train", "sharpness"])
+@pytest.mark.parametrize("run", ["sweep", "shatter", "train", "sharpness", "hardfn", "hardfn_default"])
 def test_pooled_runs_match_golden_hashes_at_any_blas_thread_count(run, blas_threads, tmp_path):
     src = os.path.dirname(os.path.dirname(relulab.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

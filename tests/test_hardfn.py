@@ -1,6 +1,7 @@
 """Tests for the separated-cap family."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,14 +19,19 @@ from relulab.hardfn import (
     build_hard_family,
     indistinguishable_probability,
     indistinguishable_probability_mc,
+    member_net,
     member_values,
     pack_caps,
     pair_sq_distance,
-    relu_atom,
     varshamov_gilbert,
 )
 from relulab.nets import TwoLayerNet, forward
 from relulab.numerics import make_rng, sample_uniform_ball
+
+
+def _atom(points, u, eps):
+    """The cap atom ``relu(u . x - (1 - eps^2))`` as a one-neuron network."""
+    return forward(TwoLayerNet(w=[u], b=[atom_threshold(eps)], v=[1.0], beta=0.0), points)
 
 
 def _row_search(k, rng):
@@ -50,11 +56,11 @@ class TestAtomGeometry:
         assert atom_threshold(0.5) == 0.75
         u = np.array([1.0, 0.0])
         pts = np.array([[0.8, 0.0], [0.7, 0.5], [0.75, 0.0]])
-        np.testing.assert_allclose(relu_atom(pts, u, 0.5), [0.05, 0.0, 0.0])
+        np.testing.assert_allclose(_atom(pts, u, 0.5), [0.05, 0.0, 0.0])
 
     def test_peak_value_is_eps_squared(self):
         u = np.array([0.0, 1.0])
-        peak = relu_atom(np.array([[0.0, 1.0]]), u, 0.3)
+        peak = _atom(np.array([[0.0, 1.0]]), u, 0.3)
         assert peak[0] == pytest.approx(0.09, rel=1e-15)
 
     @pytest.mark.parametrize("eps", [0.05, 0.1, 0.2, 0.3, 0.5])
@@ -89,7 +95,7 @@ class TestAtomGeometry:
         d, eps = 2, 0.4
         u = np.array([1.0, 0.0])
         pts = sample_uniform_ball(rng, d, 200000)
-        vals = relu_atom(pts, u, eps) ** 2
+        vals = _atom(pts, u, eps) ** 2
         est = float(vals.mean()) * ball_volume(d)
         se = float(vals.std(ddof=1)) / math.sqrt(vals.size) * ball_volume(d)
         assert abs(est - atom_l2_norm(d, eps) ** 2) <= 4.0 * se
@@ -262,18 +268,33 @@ class TestHardFamily:
         assert int(active.sum(axis=1).max()) <= 1
 
     def test_member_matches_its_network_form(self):
+        # The network form against the sum of signed atoms over all points at
+        # once.  The caps are disjoint, so each value is one exact product and
+        # the two agree bit for bit.
         fam = self._family()
         pts = sample_uniform_ball(make_rng(12), fam.dim, 500)
+        acts = np.maximum(pts @ fam.centers.T - atom_threshold(fam.eps), 0.0)
         for idx in (0, 1, fam.size - 1):
-            net = TwoLayerNet(
-                w=fam.centers,
-                b=np.full(fam.n_atoms, atom_threshold(fam.eps)),
-                v=fam.amplitude / fam.eps ** 2 * fam.code.signs[idx],
-                beta=0.0,
-            )
-            np.testing.assert_allclose(
-                member_values(fam, idx, pts), forward(net, pts), rtol=1e-12, atol=1e-15
-            )
+            net = member_net(fam, idx)
+            assert net.width == fam.n_atoms and net.beta == 0.0
+            np.testing.assert_array_equal(net.w, fam.centers)
+            expected = fam.amplitude / fam.eps ** 2 * (acts @ fam.code.signs[idx])
+            np.testing.assert_array_equal(member_values(fam, idx, pts), expected)
+
+    def test_member_evaluation_allocates_blocks_not_all_atoms(self):
+        # At 2e5 points and 80 atoms one (points, atoms) float64 array is
+        # 122 MiB; the blocked forward pass holds its (200000,) output and
+        # one (ROW_BLOCK + 1, 80) buffer.
+        fam = build_hard_family(make_rng(0), 5, 0.2, n_atoms=80)
+        pts = sample_uniform_ball(make_rng(15), fam.dim, 200000)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            member_values(fam, 1, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - base) / 2**20 <= 16.0
 
     def test_sup_bound_holds_empirically(self):
         fam = self._family()

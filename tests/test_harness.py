@@ -131,14 +131,11 @@ class TestConfigHash:
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize(
         "make,field",
-        [(TrainConfig, f) for f in ("eta", "clip_threshold", "weight_decay", "telemetry_rel_tol")]
+        [(TrainConfig, f) for f in ("eta", "clip_threshold", "weight_decay")]
         + [(SweepConfig, "sigma")]
         + [
             (ShatterConfig, f)
-            for f in (
-                "sigma", "eta_large", "eta_decay", "weight_decay", "clip_threshold",
-                "telemetry_rel_tol",
-            )
+            for f in ("sigma", "eta_large", "eta_decay", "weight_decay", "clip_threshold")
         ],
     )
     def test_non_finite_float_fields_rejected(self, make, field, value):

@@ -189,7 +189,7 @@ def test_training_step_allocates_a_few_blocks_not_whole_activations():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        gd_step_flat(theta, data.inputs, data.labels, d, k, cfg, None)
+        gd_step_flat(theta, data.inputs, data.labels, d, k, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

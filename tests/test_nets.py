@@ -120,6 +120,21 @@ class TestDatasetValidation:
         with pytest.raises(ValueError):
             Dataset(inputs=[[0.1, 0.2]], labels=[0.0, 1.0])
 
+    @pytest.mark.parametrize(
+        "inputs,labels",
+        [
+            ([[float("nan"), 0.0]], [0.0]),
+            ([[float("-inf"), 0.0]], [0.0]),
+            ([[0.1, 0.2]], [float("nan")]),
+            ([[0.1, 0.2]], [float("inf")]),
+        ],
+    )
+    def test_rejects_non_finite_values(self, inputs, labels):
+        # A NaN norm compares False with the ball's radius, so the ball
+        # check alone lets NaN through.
+        with pytest.raises(ValueError, match="finite"):
+            Dataset(inputs=inputs, labels=labels)
+
 
 def _kept_atoms_by_walk(net):
     """Oracle for the kept atoms of ``to_reduced_form``: the original

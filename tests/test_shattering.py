@@ -5,6 +5,7 @@ import pytest
 
 from relulab.nets import TwoLayerNet
 from relulab.shattering import (
+    SPARSE_THRESHOLD,
     NeuronStats,
     ShatteringReport,
     neuron_stats,
@@ -52,12 +53,20 @@ class TestNeuronStats:
 
 class TestShatteringReport:
     def test_hand_traced_shares(self):
-        stats = neuron_stats(NET, INPUTS)
-        report = shattering_report(stats, sparse_threshold=0.6)
+        # Ten 1-d inputs -0.9, -0.7, ..., 0.9.  Neuron 0 (b = 0.8) fires on
+        # 0.9 alone, a fraction of exactly the threshold; neuron 1 never
+        # fires; neuron 2 (b = 0.6) fires on 0.7 and 0.9; neuron 3 always.
+        inputs = np.arange(-9, 10, 2)[:, None] / 10
+        net = TwoLayerNet(
+            w=[[1.0], [1.0], [1.0], [0.0]], b=[0.8, 2.0, 0.6, -1.0], v=np.ones(4), beta=0.0
+        )
+        stats = neuron_stats(net, inputs)
+        np.testing.assert_array_equal(stats.activation_fraction, [0.1, 0.0, 0.2, 1.0])
+        report = shattering_report(stats)
+        assert SPARSE_THRESHOLD == 0.10
         assert report.dead_neuron_share == 0.25          # neuron 1
-        assert report.sparse_neuron_share == 0.25        # neuron 0 (0 < 1/2 <= 0.6)
-        assert report.median_activation == 0.75   # median of (0.5, 0, 1, 1)
-        assert report.sparse_threshold == 0.6
+        assert report.sparse_neuron_share == 0.25        # neuron 0 (0 < 1/10 <= 0.10)
+        assert report.median_activation == pytest.approx(0.15)  # median of (0.1, 0, 0.2, 1)
         assert isinstance(report, ShatteringReport)
 
     def test_dead_is_not_sparse(self):
@@ -69,13 +78,6 @@ class TestShatteringReport:
         report = shattering_report(stats)
         assert report.dead_neuron_share == pytest.approx(1 / 3)
         assert report.sparse_neuron_share == pytest.approx(1 / 3)
-
-    def test_threshold_validation(self):
-        stats = neuron_stats(NET, INPUTS)
-        with pytest.raises(ValueError, match="threshold"):
-            shattering_report(stats, sparse_threshold=0.0)
-        with pytest.raises(ValueError, match="threshold"):
-            shattering_report(stats, sparse_threshold=1.0)
 
 
 class TestCsv:

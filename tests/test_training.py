@@ -70,16 +70,6 @@ class TestWeightDecay:
             rtol=1e-15,
         )
 
-    def test_bias_exclusion_mask(self):
-        cfg = TrainConfig(eta=0.1, epochs=1, weight_decay=0.5, decay_biases=False)
-        log = train(self.NET, self.DATA, cfg)
-        shrink = 1.0 - 0.1 * 0.5
-        np.testing.assert_allclose(
-            pack_params(log.net),
-            [shrink * -1.0, 0.5, shrink * 2.0, 0.3],
-            rtol=1e-15,
-        )
-
     def test_recorded_loss_is_data_term_only(self):
         net = TwoLayerNet(w=[[1.0]], b=[0.0], v=[1.0], beta=0.0)
         data = Dataset(inputs=[[0.5]], labels=[1.0])
@@ -159,6 +149,8 @@ class TestTrainingBehaviour:
             TrainConfig(eta=0.1, epochs=1, weight_decay=-0.1)
         with pytest.raises(ValueError, match="sharpness_every"):
             TrainConfig(eta=0.1, epochs=1, sharpness_every=-2)
+        with pytest.raises(ValueError, match="telemetry_max_iters"):
+            TrainConfig(eta=0.1, epochs=1, telemetry_max_iters=0)
 
 
 class TestCsvDump:
