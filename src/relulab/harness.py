@@ -346,6 +346,12 @@ def run_single_cell(cfg: SweepConfig, d: int, n: int, seed: int) -> RunRecord:
     return run_cell_with_log(cfg, d, n, seed)[0]
 
 
+def _cell_cost(cfg: SweepConfig, cell) -> int:
+    """n * width * (d + 2): the size of the cell's training step."""
+    d, n, _ = cell
+    return n * cfg.width_rule * n * (d + 2)
+
+
 def _attempt_cell(cfg: SweepConfig, cell):
     d, n, seed = cell
     try:
@@ -469,10 +475,12 @@ def run_mse_sweep(cfg: SweepConfig, threads: int | None = None) -> SweepResult:
 
     Individual divergences are recorded as failures and the sweep continues.
     Cells run on a pool of ``threads`` worker threads, each running the
-    whole cell recipe.  numpy's BLAS is held to one thread for the whole
-    sweep, so the workers do not oversubscribe the cores and the records do
-    not depend on the pool size or the core count; every cell also derives
-    its own random streams.  By default the pool has one worker per usable
+    whole cell recipe; they start in descending order of their step size
+    ``n * width * (d + 2)``, and records and failures stay in grid order.
+    numpy's BLAS is held to one thread for the whole sweep, so the workers
+    do not oversubscribe the cores and the records do not depend on the
+    pool size or the core count; every cell also derives its own random
+    streams.  By default the pool has one worker per usable
     core (:func:`usable_cores`), or one worker where BLAS cannot be pinned
     (see :func:`_one_blas_thread`), since unpinned workers would each run a
     multi-threaded BLAS.  With ``train.sharpness_every > 0`` each worker
@@ -492,8 +500,15 @@ def run_mse_sweep(cfg: SweepConfig, threads: int | None = None) -> SweepResult:
         for n in cfg.sample_sizes
         for seed in range(cfg.seeds_per_cell)
     ]
+    # Longest first, so that no large cell starts while the other workers
+    # run out of work.  The cost is arithmetic on the config, never timed;
+    # ties keep grid order, and the outcomes go back into grid order.
+    order = sorted(range(len(cells)), key=lambda i: -_cell_cost(cfg, cells[i]))
+    outcomes = [None] * len(cells)
     with _one_blas_thread(), ThreadPoolExecutor(max_workers=threads) as pool:
-        outcomes = list(pool.map(lambda cell: _attempt_cell(cfg, cell), cells))
+        done = pool.map(lambda i: _attempt_cell(cfg, cells[i]), order)
+        for i, outcome in zip(order, done):
+            outcomes[i] = outcome
     records = tuple(o for o in outcomes if isinstance(o, RunRecord))
     failures = tuple(o for o in outcomes if isinstance(o, CellFailure))
     medians = _median_table(cfg, records)

@@ -37,10 +37,11 @@ _DUPLICATE_ATOL = 1e-12
 
 # Rows of x per block of the one row partition, ``_row_blocks``, shared by the
 # forward pass, the gradient and Hessian kernels and the neuron statistics.
-# A (ROW_BLOCK, K) float64 buffer stays cache-sized (1 MiB at K = 2048) where
-# whole (n, K) arrays would stream through memory.  It is a constant, not a
-# setting: the block size fixes the order in which the per-neuron sums
-# accumulate, so no choice of size can change a rerun's rounding.
+# A kernel keeps each block in one (ROW_BLOCK + 1, K) float64 buffer, which
+# stays cache-sized (1 MiB at K = 2048, half of a 2 MiB L2) where whole (n, K)
+# arrays would stream through memory.  It is a constant, not a setting: the
+# block size fixes the order in which the per-neuron sums accumulate, so no
+# choice of size can change a rerun's rounding.
 ROW_BLOCK = 64
 
 
@@ -193,31 +194,35 @@ def _residual_pass(x, y, w, b, v, beta, z_out=None):
     ``col = (1/n) sum_i r_i 1_ik x_i``, ``colsum = (1/n) sum_i r_i 1_ik`` and
     ``gv = (1/n) sum_i r_i relu(z_ik)``, accumulated block by block.  An
     (n, K) ``z_out`` receives a copy of every block's preactivations.
+
+    Each block lives in the one buffer of ``_preact_blocks``: it holds the
+    preactivations, then their ReLU, then the 0/1 mask, so a block is one
+    cache-sized (rows, K) array.  ``col`` and ``colsum`` come from a single
+    product of the (rows, d + 1) scaled inputs ``[r_i x_i, r_i] / n`` with
+    the mask, into one (d + 1, K) accumulator.
     """
-    n = x.shape[0]
-    ract_buf = _block_buffer(n, w.shape[0])
+    n, d = x.shape
     r = np.empty(n)
-    col = np.zeros(w.shape)
-    colsum = np.zeros(w.shape[0])
+    colx = np.zeros((d + 1, w.shape[0]))
     gv = np.zeros(w.shape[0])
+    rx_buf = _block_buffer(n, d + 1)
     for blk, z in _preact_blocks(x, w, b):
         if z_out is not None:
             z_out[blk] = z
-        xb = x[blk]
-        ract = ract_buf[: xb.shape[0]]
-        # The strict 1{z > 0} derivative.
-        np.greater(z, 0.0, out=ract)
         np.maximum(z, 0.0, out=z)
         rb = r[blk]
         np.matmul(z, v, out=rb)
         rb += beta
         rb -= y[blk]
         rv = rb / n
-        ract *= rv[:, None]
-        col += ract.T @ xb
-        colsum += ract.sum(axis=0)
-        gv += z.T @ rv
-    return r, col, colsum, gv
+        gv += rv @ z
+        # The strict 1{z > 0} derivative: relu(z) > 0 exactly when z > 0.
+        np.greater(z, 0.0, out=z)
+        rx = rx_buf[: rv.shape[0]]
+        np.multiply(x[blk], rv[:, None], out=rx[:, :d])
+        rx[:, d] = rv
+        colx += rx.T @ z
+    return r, colx[:d].T, colx[d], gv
 
 
 def _grad_flat(theta: np.ndarray, x: np.ndarray, y: np.ndarray, d: int, k: int):

@@ -79,8 +79,10 @@ def make_hessian_operator(
     preactivations into the one (n, K) float array the operator keeps (about
     11 MiB allocated in all at n=512, K=2048).  Each application walks the
     same row blocks through ``_preact_blocks``, whose buffer belongs to that
-    call; the other block buffer belongs to the operator.  Neither belongs to
-    the module, since sweep cells run on a thread pool.
+    call and holds the tangent preactivations.  The operator owns a float
+    copy of the block's mask and a (rows, d + 1) buffer of ``[s_i x_i, s_i]``,
+    whose product fills the (d + 1, K) Gauss-Newton sums at once.  No buffer
+    belongs to the module, since sweep cells run on a thread pool.
     """
     x = data.inputs
     n, d = x.shape
@@ -101,6 +103,7 @@ def make_hessian_operator(
 
     wd = k * d
     sact_buf = _block_buffer(n, k)
+    sx_buf = _block_buffer(n, d + 1)
 
     def apply(vec: np.ndarray) -> np.ndarray:
         vw = vec[:wd].reshape(k, d)
@@ -108,27 +111,27 @@ def make_hessian_operator(
         vv = vec[wd + k : wd + 2 * k]
         vbeta = vec[-1]
 
-        s = np.empty(n)             # per-example gradient pairing
-        sw = np.zeros((k, d))       # sum_i s_i 1_ik x_i
-        ssum = np.zeros(k)          # sum_i s_i 1_ik
+        s = np.empty(n)                 # per-example gradient pairing
+        swx = np.zeros((d + 1, k))      # sum_i s_i 1_ik [x_i, 1]
         hv = np.zeros(k)
         for blk, core in _preact_blocks(x, vw, vb):
-            xb = x[blk]
-            actb = act[blk]
             ab = a[blk]
-            sact = sact_buf[: xb.shape[0]]
-            core *= actb                # 1_ik (x_i . Vw_k - Vb_k)
+            sact = sact_buf[: ab.shape[0]]
+            np.copyto(sact, act[blk])
+            core *= sact                # 1_ik (x_i . Vw_k - Vb_k)
             sb = s[blk]
             np.matmul(core, v, out=sb)
             sb += ab @ vv
             sb += vbeta
-            np.multiply(actb, sb[:, None], out=sact)
-            sw += sact.T @ xb
-            ssum += sact.sum(axis=0)
-            hv += ab.T @ sb
+            sx = sx_buf[: ab.shape[0]]
+            np.multiply(x[blk], sb[:, None], out=sx[:, :d])
+            sx[:, d] = sb
+            swx += sx.T @ sact
+            hv += sb @ ab
             if not gauss_newton_only:
-                hv += core.T @ r[blk]
+                hv += r[blk] @ core
 
+        sw, ssum = swx[:d].T, swx[d]
         hw = v[:, None] * sw / n
         hb = -v * ssum / n
         hv /= n

@@ -75,28 +75,28 @@ GOLDEN = {
         "rates.csv": "757b70c62a22db7bde6650c868f12c9790cabc63da7d1b36c83f6ee0e792a62c",
     },
     "sharpness": {
-        "checkpoint.bin": "4c2fa045f4fdd1969efba5ffb4c8c2a071a22d632c31ee15b2325d866ff436bb",
-        "sharpness.json": "0ce8eab0a648feb39b55e3d427215e8732ed394ad2060af3c99e289d3ce12026",
+        "checkpoint.bin": "0d284b325f557ff0c134c31341bff74397bc30fd6b157c4cb37de25ab3fac922",
+        "sharpness.json": "82a5629e3c59bf3d16bd0bcb1c5305b9fb39ad8a23dd9cf00188c97212180a66",
     },
     "hardfn": {
         "hardfn.json": "204310ffc3814947feac3056d782a0d877b43bce90828023fa019d34e197b774",
     },
     "sweep": {
         "failures.csv": "7b39adae08a041715d2472e4b2fa7599e95c4b822f674b009ef298910f211dac",
-        "slopes.json": "a1c33b0c5bc767aec43bff3ffc76b68b7ca4a48b0ed9c538076ebed49f7e1cc0",
-        "sweep.csv": "5ca302cb55aeefab9f2d76d08ca1821cb99038655346fd81d7c5d16c90e372b6",
+        "slopes.json": "eada999582455c0477d6eb2cce5dfbbc8372bebe86aa2b35f0f952c9d2fe0f9d",
+        "sweep.csv": "3bbe44cfefcc453760ae2aae450162b807a7df1917717d5ede4a20d633c05226",
     },
     "train": {
-        "checkpoint.bin": "170b09ccc9fbb2a47ae83b6adceb56cb582127caa45245bb9d10abc447b20ccb",
-        "record.json": "1065143fe318556794692aff03426af4695560ef193c56cf888ac27bd2bb60b8",
-        "training_log.csv": "232bf9ac69416d9c21ec37b9853149dd33397f53d0bbd583cbe16713919d165e",
+        "checkpoint.bin": "fe667ded6e41a9f8e495ffb87464aef2cf3ca5b0ab010b18afb51a36d0ac079a",
+        "record.json": "81a54d944f5dca9032dac32d0e9f328d7d2b06438559dbc9a9ffecc7e800ec0d",
+        "training_log.csv": "a099a31d9dc0f015dafc54590ddb981d95f38b38074f9e7f32c406b4601de214",
     },
     "shatter": {
-        "records.json": "1f5963639df168cd23c286b901c48380052b73b6562a4da6ed9d717dc026a067",
-        "scatter_large_step.csv": "f98edee1536aa527d4113d2ba80b85c2336dfd48f6c3c4590cb6edc97fb3fc60",
-        "scatter_weight_decay.csv": "cf707afef182c30be8ad7c945158e682ae0b11bc5086ecb074429c625046b5c5",
-        "training_log_large_step.csv": "e1500f749d9974a94cc7cfd6afeb8c5b45523aa27e6a1a7cfa70781239194ea1",
-        "training_log_weight_decay.csv": "d17edce819539ee8cbea94250379363134e4b1facb71eee534a450239c339579",
+        "records.json": "4ce3273314c75efef1d425fc9af0a249a654821ad2a8ed5bed04f36cbacaf66c",
+        "scatter_large_step.csv": "717d6071ff90ae875ae3212092ecc8cc1ebc985f974e80685ff44efced6ab892",
+        "scatter_weight_decay.csv": "66aa4c632cdee8f89cb969aa1ad4d5a5de7ab828effdcb514bed95385e20e7d0",
+        "training_log_large_step.csv": "a8345043490e4ad8d37f483d2a5d853d7cca7c209bf71abac8a818216f9726ba",
+        "training_log_weight_decay.csv": "b905d73f49238d6c9dd2d098125c5071aa7bf9c460e11605772a561cc42d3111",
     },
 }
 

@@ -279,6 +279,30 @@ class TestSweep:
         assert serial.slopes == pooled.slopes
         assert blobs[0] == blobs[1]
 
+    def test_cells_start_longest_first_and_return_in_grid_order(self, monkeypatch):
+        started = []
+        attempt = harness._attempt_cell
+
+        def recording(cfg, cell):
+            started.append(cell)
+            return attempt(cfg, cell)
+
+        monkeypatch.setattr(harness, "_attempt_cell", recording)
+        cfg = _smoke_config(dims=(1, 10), sample_sizes=(4, 8), seeds_per_cell=2)
+        # One worker takes the cells in the order they were submitted.
+        result = run_mse_sweep(cfg, threads=1)
+        # Costs n * width * (d + 2) at width 2n: (10, 8) 1536; (1, 8) and
+        # (10, 4) tie at 384 and keep grid order; (1, 4) 96.
+        assert started == [
+            (10, 8, 0), (10, 8, 1),
+            (1, 8, 0), (1, 8, 1), (10, 4, 0), (10, 4, 1),
+            (1, 4, 0), (1, 4, 1),
+        ]
+        assert [(r.d, r.n, r.seed) for r in result.records] == [
+            (1, 4, 0), (1, 4, 1), (1, 8, 0), (1, 8, 1),
+            (10, 4, 0), (10, 4, 1), (10, 8, 0), (10, 8, 1),
+        ]
+
     @staticmethod
     def _record_pool_sizes(monkeypatch):
         sizes = []

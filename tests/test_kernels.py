@@ -16,6 +16,7 @@ import warnings
 import numpy as np
 import pytest
 
+from relulab import nets
 from relulab.nets import (
     ROW_BLOCK,
     Dataset,
@@ -179,9 +180,47 @@ def test_blocked_hvp_matches_unblocked_reference(n, gauss_newton_only):
         _assert_close(op(vec), ref)
 
 
+def test_neurons_on_the_kink_at_every_point(monkeypatch):
+    # Preactivations of exactly 0.0 and -0.0 are inactive under the strict
+    # 1{z > 0} and add exact zeros; a positive subnormal is active.  A BLAS
+    # sum of signed zeros comes out +0.0, so the three columns are written
+    # into each block as it is made.
+    n, k = 2 * ROW_BLOCK + 1, 8
+    net, data, _ = _instance(n, k=k)
+    x, y = data.inputs, data.labels
+    kinks = {1: 0.0, 2: -0.0, 3: 5e-324}
+    preact_blocks = nets._preact_blocks
+
+    def with_kinks(x, w, b):
+        for rows, z in preact_blocks(x, w, b):
+            for j, value in kinks.items():
+                z[:, j] = value
+            yield rows, z
+
+    monkeypatch.setattr(nets, "_preact_blocks", with_kinks)
+    z = np.empty((n, k))
+    r, col, colsum, gv = nets._residual_pass(x, y, net.w, net.b, net.v, net.beta, z)
+    assert not np.signbit(z[:, 1]).any() and np.signbit(z[:, 2]).all()
+    assert np.all(z[:, 3] == 5e-324)
+    for j in (1, 2):
+        assert np.all(col[j] == 0.0) and colsum[j] == 0.0 and gv[j] == 0.0
+
+    act = z > 0.0
+    assert np.array_equal(act[:, 1:4].any(axis=0), [False, False, True])
+    a = np.where(act, z, 0.0)
+    ref_r = a @ net.v + net.beta - y
+    ract = (ref_r / n)[:, None] * act
+    assert np.array_equal(r, ref_r)
+    _assert_close(col, ract.T @ x)
+    _assert_close(colsum, ract.sum(axis=0))
+    _assert_close(gv, a.T @ ref_r / n)
+    assert np.all(col[3] != 0.0) and colsum[3] != 0.0
+
+
 def test_training_step_allocates_a_few_blocks_not_whole_activations():
-    # At the shattering shape two (ROW_BLOCK, K) buffers plus the gradient
-    # come to about 2.6 MiB; a single whole (n, K) float64 array is 8 MiB.
+    # At the shattering shape one (ROW_BLOCK + 1, K) buffer, the (d + 1, K)
+    # accumulator and the gradient come to about 1.4 MiB; a single whole
+    # (n, K) float64 array is 8 MiB.
     d, n, k = 10, 512, 2048
     net, data, _ = _instance(n, d=d, k=k)
     theta = pack_params(net)
@@ -193,7 +232,7 @@ def test_training_step_allocates_a_few_blocks_not_whole_activations():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (peak - base) / 2**20 <= 4.0
+    assert (peak - base) / 2**20 <= 2.0
 
 
 def test_holdout_forward_allocates_a_block_not_whole_activations():
