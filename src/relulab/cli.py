@@ -47,7 +47,7 @@ from .hardfn import (
 from .nets import save_checkpoint
 from .numerics import derive_rng, is_integer, sample_uniform_ball
 from .rates import RatesConfig, exponent_table_to_csv
-from .sharpness import CertificateConfig, regularity_certificate
+from .sharpness import regularity_certificate
 from .training import TrainConfig, train_log_to_csv
 
 __all__ = ["main"]
@@ -84,9 +84,7 @@ def _config(cls, raw: dict, **given):
 # leave without a default.
 _TRAIN_KEYS = _field_names(TrainConfig) | {"epoch_preset"}
 _TRAIN_DEFAULTS = {"eta": 0.1, "epochs": 100}
-_CELL_KEYS = {"d", "n"} | (
-    _field_names(SweepConfig) - {"dims", "sample_sizes", "seeds_per_cell", "mse_mode"}
-)
+_CELL_KEYS = {"d", "n"} | (_field_names(SweepConfig) - {"dims", "sample_sizes", "seeds_per_cell"})
 _CELL_DEFAULTS = {"d": 2, "n": 32, "sigma": 0.5}
 _SWEEP_DEFAULTS = {"dims": [1, 5], "sample_sizes": [32, 64, 128], "sigma": 1.0}
 
@@ -176,23 +174,10 @@ def _execute_shatter(cfg: ShatterConfig, args) -> int:
     return 0
 
 
-def _prepare_sharpness(raw: dict, args):
-    names = _field_names(CertificateConfig)
-    cfg = _cell_sweep_config({k: v for k, v in raw.items() if k not in names}, args)
-    return cfg, _config(CertificateConfig, {k: v for k, v in raw.items() if k in names})
-
-
-def _execute_sharpness(prepared, args) -> int:
-    cfg, certificate = prepared
+def _execute_sharpness(cfg: SweepConfig, args) -> int:
     d, n = cfg.dims[0], cfg.sample_sizes[0]
     record, log, data = run_cell_with_log(cfg, d, n, 0)
-    cert = regularity_certificate(
-        log.net,
-        data,
-        rel_tol=certificate.certificate_rel_tol,
-        max_iters=certificate.certificate_max_iters,
-        rng=derive_rng(args.seed, 99),
-    )
+    cert = regularity_certificate(log.net, data, rng=derive_rng(args.seed, 99))
     out = args.out
     save_checkpoint(log.net, os.path.join(out, "checkpoint.bin"))
     write_json(
@@ -206,7 +191,7 @@ def _execute_sharpness(prepared, args) -> int:
     )
     write_manifest(
         out,
-        {"command": "sharpness", **cfg.as_dict(), **dataclasses.asdict(certificate)},
+        {"command": "sharpness", **cfg.as_dict()},
         ["checkpoint.bin", "sharpness.json"],
     )
     print(
@@ -228,7 +213,7 @@ class _Job:
 
 def _prepare_vgnorm(raw: dict, args):
     cfg = _config(VgnormConfig, raw)
-    code = varshamov_gilbert(cfg.code_length, rng=derive_rng(args.seed, 0), target=cfg.target)
+    code = varshamov_gilbert(cfg.code_length, rng=derive_rng(args.seed, 0))
     return _Job(cfg, code)
 
 
@@ -239,7 +224,7 @@ def _execute_vgnorm(job, args) -> int:
     rows = family.bits
     audit = min((int(hamming(w, rows[m + 1 :]).min()) for m, w in enumerate(rows[:-1])), default=k)
     required_distance = math.ceil(k / 8)
-    required_size = cfg.target or math.ceil(2 ** (k / 8))
+    required_size = math.ceil(2 ** (k / 8))
     passed = audit >= required_distance and family.size >= required_size
     payload = {
         "code_length": k,
@@ -259,18 +244,14 @@ def _execute_vgnorm(job, args) -> int:
 
 def _prepare_hardfn(raw: dict, args):
     cfg = _config(HardfnConfig, raw)
-    # The pair indexes the built family, so the family is built here.
-    rng = derive_rng(args.seed, 0)
-    family = build_hard_family(rng, cfg.d, cfg.eps, cfg.n_atoms, cfg.amplitude)
-    if max(cfg.pair) >= family.size:
-        raise ValueError(f"pair {cfg.pair} out of range for family of size {family.size}")
+    family = build_hard_family(derive_rng(args.seed, 0), cfg.d, cfg.eps, cfg.n_atoms, cfg.amplitude)
     return _Job(cfg, family)
 
 
 def _execute_hardfn(job, args) -> int:
     cfg, family = job.config, job.family
     d, eps = cfg.d, cfg.eps
-    i, j = cfg.pair
+    i, j = 0, 1
 
     lo, hi = atom_l2_constants(d)
     atom = atom_l2_norm(d, eps)
@@ -338,7 +319,7 @@ _COMMANDS = {
     "train": (_cell_sweep_config, _execute_train),
     "sweep-mse": (_prepare_sweep, _execute_sweep),
     "shatter": (_prepare_shatter, _execute_shatter),
-    "sharpness": (_prepare_sharpness, _execute_sharpness),
+    "sharpness": (_cell_sweep_config, _execute_sharpness),
     "vgnorm": (_prepare_vgnorm, _execute_vgnorm),
     "hardfn-verify": (_prepare_hardfn, _execute_hardfn),
     "rates": (_prepare_rates, _execute_rates),

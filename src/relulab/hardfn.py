@@ -21,7 +21,7 @@ import numpy as np
 
 from relulab.nets import TwoLayerNet, forward
 from relulab.numerics import (
-    check_finite_fields, check_int_fields, is_integer, make_rng, sample_uniform_ball,
+    check_finite_fields, check_int_fields, make_rng, sample_uniform_ball,
 )
 from relulab.weights import cap_moment, tail_probability
 
@@ -223,27 +223,24 @@ def hamming(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # cost grows as target^2: 1024 words at k = 80 take about 0.1 s on one x86-64
 # core.
 MAX_CODE_WORDS = 1024
-# The longest code whose default target ceil(2^(k/8)) stays within the limit.
+# The longest code whose size ceil(2^(k/8)) stays within the limit.
 MAX_ATOMS = 8 * int(math.log2(MAX_CODE_WORDS))
 
 
-def varshamov_gilbert(k: int, rng=None, target: int | None = None) -> SignFamily:
+def varshamov_gilbert(k: int, rng=None) -> SignFamily:
     """Greedy code over {0, 1}^k with minimum distance ceil(k / 8).
 
     Stops once ceil(2^(k/8)) words are found (the counting bound guarantees
     a maximal code is at least that large, so the exhaustive scan used for
     k <= 24 always succeeds).  Larger k scans uniform random words from
-    ``rng`` instead and raises ``RuntimeError`` after 200 * target
-    rejections in a row.  A target above :data:`MAX_CODE_WORDS` (k > 80 by
-    default) raises ``ValueError``.  Word bit j is letter j of the code.
+    ``rng`` instead and raises ``RuntimeError`` after 200 * ceil(2^(k/8))
+    rejections in a row.  More than :data:`MAX_CODE_WORDS` words (k > 80)
+    raise ``ValueError``.  Word bit j is letter j of the code.
     """
     if k < 1:
         raise ValueError(f"code length must be >= 1, got {k}")
     dmin = -(-k // 8)
-    if target is None:
-        target = math.ceil(2.0 ** (k / 8.0))
-    if target < 1:
-        raise ValueError(f"target must be >= 1, got {target}")
+    target = math.ceil(2.0 ** (k / 8.0))
     if target > MAX_CODE_WORDS:
         raise ValueError(
             f"a code of {target} words exceeds the search limit of {MAX_CODE_WORDS} words"
@@ -421,31 +418,30 @@ def indistinguishable_probability_mc(
 
 @dataclass(frozen=True)
 class VgnormConfig:
-    """Settings of ``vgnorm``: the code length k and the code's target size
-    (None for ceil(2^(k/8))), which :func:`varshamov_gilbert` checks."""
+    """Settings of ``vgnorm``: the code length k of a code of ceil(2^(k/8))
+    words.  :func:`varshamov_gilbert` rejects k past its word limit."""
 
     code_length: int = 16
-    target: int | None = None
 
     def __post_init__(self):
         check_int_fields(self)
-        check_finite_fields(self)
         if self.code_length < 8:
             raise ValueError(f"code_length must be >= 8, got {self.code_length}")
 
 
 @dataclass(frozen=True)
 class HardfnConfig:
-    """Settings of ``hardfn-verify``.  :func:`build_hard_family` checks ``d``,
-    ``eps``, ``amplitude`` and too few atoms.  More than ``MAX_ATOMS`` = 80
-    atoms can never build a code, and the cap packing would spend up to 50
-    rejections per atom looking for them."""
+    """Settings of ``hardfn-verify``, which checks members 0 and 1 of the
+    family: at least 8 atoms make a code of at least 2 words.
+    :func:`build_hard_family` checks ``d``, ``eps``, ``amplitude`` and too
+    few atoms.  More than ``MAX_ATOMS`` = 80 atoms can never build a code,
+    and the cap packing would spend up to 50 rejections per atom looking
+    for them."""
 
     d: int = 3
     eps: float = 0.2
     n_atoms: int | None = None
     amplitude: float = 1.0
-    pair: tuple = (0, 1)
     n_obs: int = 50
     mc_trials: int = 20000
     l2_samples: int = 200000
@@ -455,8 +451,5 @@ class HardfnConfig:
         check_finite_fields(self)
         if self.n_atoms is not None and self.n_atoms > MAX_ATOMS:
             raise ValueError(f"n_atoms must be null or at most {MAX_ATOMS}, got {self.n_atoms}")
-        if not (isinstance(self.pair, (list, tuple)) and len(self.pair) == 2
-                and all(is_integer(k) and k >= 0 for k in self.pair)):
-            raise ValueError(f"pair must hold two non-negative indices, got {self.pair!r}")
         if self.n_obs < 0 or self.mc_trials < 1 or self.l2_samples < 1:
             raise ValueError("n_obs must be >= 0, and mc_trials and l2_samples >= 1")

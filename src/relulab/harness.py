@@ -45,7 +45,6 @@ from .training import (
 )
 
 __all__ = [
-    "MSE_MODES",
     "EPOCH_PRESETS",
     "SWEEP_SCHEMA",
     "SWEEP_CSV_COLUMNS",
@@ -76,7 +75,6 @@ __all__ = [
     "write_manifest",
 ]
 
-MSE_MODES = ("in_sample_vs_f0", "holdout_vs_f0", "both")
 EPOCH_PRESETS = ("appendix-A1", "appendix-A2")
 
 SWEEP_SCHEMA = "sweep-v1"
@@ -113,9 +111,8 @@ def preset_epochs(preset: str, eta: float) -> int:
 class SweepConfig:
     """Grid layout for an MSE-vs-n sweep.
 
-    Width per cell is ``width_rule * n``.  ``mse_mode`` selects which MSE
-    column the slope tables are fitted on; every RunRecord always carries
-    both columns so the CSV schema stays fixed.
+    Width per cell is ``width_rule * n``.  Slopes are fitted on both MSE
+    columns, in-sample and holdout against the clean target.
     """
 
     dims: tuple
@@ -124,7 +121,6 @@ class SweepConfig:
     sigma: float
     seeds_per_cell: int = 5
     width_rule: int = 4
-    mse_mode: str = "both"
     holdout_size: int = 10000
     master_seed: int = 0
     output_dir: str | None = None
@@ -148,8 +144,6 @@ class SweepConfig:
             raise ValueError(f"seeds_per_cell must be >= 1, got {self.seeds_per_cell}")
         if self.width_rule < 1:
             raise ValueError(f"width_rule must be >= 1, got {self.width_rule}")
-        if self.mse_mode not in MSE_MODES:
-            raise ValueError(f"mse_mode must be one of {MSE_MODES}, got {self.mse_mode!r}")
         if self.holdout_size < 1:
             raise ValueError(f"holdout_size must be >= 1, got {self.holdout_size}")
         if self.master_seed < 0:
@@ -210,10 +204,10 @@ FAILURE_CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(CellFailure))
 @dataclass(frozen=True)
 class SweepResult:
     """Sweep output: per-cell records, failures, per-(d, n) medians of the
-    two MSE columns, and per-d log-log slopes for the selected mode(s).
+    two MSE columns, and per-d log-log slopes of each.
 
-    ``slopes[mode][d]`` is None when fewer than two (d, n) cells survive
-    with a positive median.
+    ``slopes[mode][d]``, with ``mode`` "in_sample_vs_f0" or "holdout_vs_f0",
+    is None when fewer than two (d, n) cells survive with a positive median.
     """
 
     records: tuple
@@ -381,10 +375,8 @@ _MODE_COLUMNS = {
 
 
 def _slope_table(cfg: SweepConfig, medians: dict) -> dict:
-    modes = tuple(_MODE_COLUMNS) if cfg.mse_mode == "both" else (cfg.mse_mode,)
     slopes = {}
-    for mode in modes:
-        column = _MODE_COLUMNS[mode]
+    for mode, column in _MODE_COLUMNS.items():
         per_d = {}
         for d in cfg.dims:
             # log-log fit needs strictly positive medians; a cell trained to
@@ -471,7 +463,8 @@ def _one_blas_thread():
 
 
 def run_mse_sweep(cfg: SweepConfig, threads: int | None = None) -> SweepResult:
-    """Train every (d, n, seed) cell and fit per-d log-log MSE slopes.
+    """Train every (d, n, seed) cell and fit per-d log-log slopes of both
+    MSE columns.
 
     Individual divergences are recorded as failures and the sweep continues.
     Cells run on a pool of ``threads`` worker threads, each running the

@@ -360,7 +360,6 @@ def test_criterion_14_slope_separation():
         sigma=1.0,
         seeds_per_cell=3,
         width_rule=4,
-        mse_mode="in_sample_vs_f0",
         holdout_size=2000,
         master_seed=0,
     )
@@ -371,7 +370,6 @@ def test_criterion_14_slope_separation():
         sigma=1.0,
         seeds_per_cell=3,
         width_rule=4,
-        mse_mode="in_sample_vs_f0",
         holdout_size=2000,
         master_seed=0,
     )

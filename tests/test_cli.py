@@ -43,10 +43,6 @@ class TestExitCodes:
         cfg = _write_config(tmp_path, [1, 2, 3])
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
-    def test_invalid_mse_mode(self, tmp_path):
-        cfg = _write_config(tmp_path, {"mse_mode": "bogus"})
-        assert main(["sweep-mse", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-
     def test_bad_threads(self, tmp_path):
         out = tmp_path / "o"
         assert main(["sweep-mse", "--threads", "0", "--out", str(out)]) == 2
@@ -63,10 +59,10 @@ class TestExitCodes:
             ("shatter", {"eta_decay": 0.0}),
             ("shatter", {"clip_threshold": 0}),
             ("shatter", {"epochs": -1}),
-            ("sharpness", {**TINY_TRAIN, "certificate_rel_tol": -1}),
-            ("sharpness", {**TINY_TRAIN, "certificate_rel_tol": float("nan")}),
-            ("sharpness", {**TINY_TRAIN, "certificate_max_iters": 0}),
-            ("sharpness", {**TINY_TRAIN, "certificate_max_iters": 1.5}),
+            ("sharpness", {**TINY_TRAIN, "sigma": -1.0}),
+            ("sharpness", {**TINY_TRAIN, "sigma": float("nan")}),
+            ("sharpness", {**TINY_TRAIN, "holdout_size": 0}),
+            ("sharpness", {**TINY_TRAIN, "train": {"epochs": 1.5}}),
             ("train", {"train": {"epochs": 2.5}}),
             ("train", {"train": {"sharpness_every": 1.5}}),
             ("train", {"width_rule": 1.5}),
@@ -78,10 +74,10 @@ class TestExitCodes:
             ("shatter", {"width": 2.5}),
             ("shatter", {"epochs": True}),
             ("vgnorm", {"code_length": 8.5}),
-            ("vgnorm", {"target": 0}),
-            ("vgnorm", {"target": -3}),
-            ("vgnorm", {"target": 2.5}),
-            ("vgnorm", {"target": True}),
+            ("vgnorm", {"code_length": 0}),
+            ("vgnorm", {"code_length": -3}),
+            ("vgnorm", {"code_length": "16"}),
+            ("vgnorm", {"code_length": True}),
             ("rates", {"dims": [1.5, 2]}),
             ("rates", {"dims": [True]}),
             ("rates", {"dims": 3}),
@@ -98,17 +94,17 @@ class TestExitCodes:
             ("hardfn-verify", {"n_obs": -1}),
             ("hardfn-verify", {"mc_trials": 0}),
             ("hardfn-verify", {"l2_samples": 0}),
-            ("hardfn-verify", {"pair": [0]}),
-            ("hardfn-verify", {"pair": [0, -1]}),
-            ("hardfn-verify", {"pair": [0, 1.5]}),
+            ("hardfn-verify", {"n_atoms": 8.5}),
+            ("hardfn-verify", {"n_obs": 2.5}),
+            ("hardfn-verify", {"l2_samples": True}),
             ("train", {"sigma": True}),
             ("train", {"train": {"eta": True}}),
-            ("sharpness", {**TINY_TRAIN, "certificate_rel_tol": True}),
+            ("sharpness", {**TINY_TRAIN, "sigma": True}),
             ("hardfn-verify", {"eps": True}),
             ("hardfn-verify", {"amplitude": True}),
-            # The pair indexes the built family: two members at 8 atoms.
-            ("hardfn-verify", {"pair": [0, 999], "n_atoms": 8}),
-            ("hardfn-verify", {"pair": [2, 0], "n_atoms": 8}),
+            ("hardfn-verify", {"n_atoms": True}),
+            # The packing asked for 8 caps finds fewer at this radius.
+            ("hardfn-verify", {"n_atoms": 8, "eps": 0.9}),
             # Fewer than 8 disjoint caps fit at this radius.
             ("hardfn-verify", {"d": 2, "eps": 0.9}),
             # Codes beyond the greedy search's word limit.
@@ -121,8 +117,9 @@ class TestExitCodes:
             # otherwise search 50 * n_atoms + 1000 candidates first.
             ("hardfn-verify", {"n_atoms": 81}),
             ("hardfn-verify", {"n_atoms": 10**9}),
-            # Too large to allocate, or to compute the default target of.
-            ("vgnorm", {"code_length": 10**15, "target": 2}),
+            # The first code length past the word limit, and one whose
+            # size ceil(2^(k/8)) is too large to be a float.
+            ("vgnorm", {"code_length": 81}),
             ("vgnorm", {"code_length": 10**4}),
             # Thousands of caps fit; the default packing stops one past the
             # 80 that a code can take.
@@ -170,12 +167,12 @@ COMMANDS = ("train", "sweep-mse", "shatter", "sharpness", "vgnorm", "hardfn-veri
 # config_hash of the config each command prepares with no --config and the
 # default --seed; see _pinned_form for what is hashed.
 DEFAULT_CONFIG_HASHES = {
-    "train": "665355aaf6b3958fe013a0f48190da58e6a584cddd3d231b1d4315b19d849b12",
-    "sweep-mse": "64685bf2ccd85780b17f1fab0d386fd9cba53ff9170ff2c5b686054c4738286d",
+    "train": "ecc9c1cbb6f207bf0fb5c4ee53e53c8af8eeadf3324d7c569862f4eb7d53c12e",
+    "sweep-mse": "d29e760b2dc532aeb6e1dc31e3fdb78db1086046a2457bea4dacb0bf9e8f8276",
     "shatter": "00dd6eb74d378616be3a6ff4793d8e2af20a72d6fdb8ac62a25be0c3e0bc2c03",
-    "sharpness": "ab119c943ec00bf6d94a37523095f49e4ca0f4c00663053c67f8f55a1724f035",
-    "vgnorm": "505c6282ddc9a2e072104f665421d623d0e96ce54ec911b82102212b720a1f86",
-    "hardfn-verify": "bc69b7cc0a963aef647b8b75c4c0bfdd42f4aa7377cdcb31e5343642f1152e3b",
+    "sharpness": "ecc9c1cbb6f207bf0fb5c4ee53e53c8af8eeadf3324d7c569862f4eb7d53c12e",
+    "vgnorm": "17636071875560710ca0670f390bbc24d03f733ebba81aefbd3ef14935b696ab",
+    "hardfn-verify": "7f6515f0f337590aa0a8310f4750c3882a9bcd975363f66358e67903ea10855d",
     "rates": "14726b3adc919531193fd55cee7039faca85eb91f1d19cedff45fa3558e6b7c5",
 }
 
@@ -183,13 +180,10 @@ DEFAULT_CONFIG_HASHES = {
 def _pinned_form(prepared) -> dict:
     """Canonical dict of what a command's prepare step hands its executor.
 
-    train, sweep-mse and shatter get a config dataclass with ``as_dict``;
-    sharpness gets its cell config and its certificate config; vgnorm and
-    hardfn-verify get a job holding their config; rates gets its config.
+    train, sweep-mse, shatter and sharpness get a config dataclass with
+    ``as_dict``; vgnorm and hardfn-verify get a job holding their config;
+    rates gets its config.
     """
-    if isinstance(prepared, tuple):
-        cfg, certificate = prepared
-        return {**cfg.as_dict(), **dataclasses.asdict(certificate)}
     if hasattr(prepared, "as_dict"):
         return prepared.as_dict()
     return dataclasses.asdict(getattr(prepared, "config", prepared))
@@ -227,14 +221,31 @@ class TestDefaults:
         + [
             ("shatter", {key: value}, f"unknown config keys: ['{key}']")
             for key, value in (("telemetry_rel_tol", 1e-6), ("sharpness_every", 10))
+        ]
+        + [
+            (command, {key: value}, f"unknown config keys: ['{key}']")
+            for command, key, value in (
+                ("sweep-mse", "mse_mode", "both"),
+                ("train", "mse_mode", "both"),
+                ("sharpness", "mse_mode", "both"),
+                ("sharpness", "certificate_rel_tol", 1e-10),
+                ("sharpness", "certificate_max_iters", 20000),
+                ("vgnorm", "target", 4),
+                ("hardfn-verify", "pair", [0, 1]),
+            )
         ],
     )
     def test_retired_keys_rejected(self, command, raw, message, tmp_path, capsys):
         # Weight decay covers every parameter, the telemetry tolerance is a
-        # constant and the shatter arms take no telemetry.
+        # constant and the shatter arms take no telemetry.  Slopes are fitted
+        # on both MSE columns, the certificate solves at fixed tolerances, a
+        # vgnorm code has ceil(2^(k/8)) words and hardfn-verify checks members
+        # 0 and 1.
         cfg = _write_config(tmp_path, raw)
-        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTrainCommand:
@@ -315,18 +326,6 @@ class TestSharpnessCommand:
         assert payload["certificate"]["holds"] is True
         assert payload["certificate"]["term_a_holds"] is True
         assert payload["sharpness"] == payload["certificate"]["lambda_max"]
-
-    def test_manifest_config_records_the_certificate_settings(self, tmp_path):
-        manifests = []
-        for rel_tol in (1e-10, 1e-3):
-            cfg = _write_config(tmp_path, {**TINY_TRAIN, "certificate_rel_tol": rel_tol})
-            out = tmp_path / f"sharp-{rel_tol}"
-            assert main(["sharpness", "--config", cfg, "--out", str(out)]) == 0
-            manifests.append(json.loads((out / "manifest.json").read_text()))
-        first, second = manifests
-        assert first["config_sha256"] != second["config_sha256"]
-        assert first["config"]["certificate_rel_tol"] == 1e-10
-        assert first["config"]["certificate_max_iters"] == 20000
 
 
 class TestVgnormCommand:

@@ -76,7 +76,7 @@ GOLDEN = {
     },
     "sharpness": {
         "checkpoint.bin": "0d284b325f557ff0c134c31341bff74397bc30fd6b157c4cb37de25ab3fac922",
-        "sharpness.json": "82a5629e3c59bf3d16bd0bcb1c5305b9fb39ad8a23dd9cf00188c97212180a66",
+        "sharpness.json": "9ee63a8ddbcfd8a74c25e55009e54118cfbd22cd6bf9d046bcf14035db22475a",
     },
     "hardfn": {
         "hardfn.json": "204310ffc3814947feac3056d782a0d877b43bce90828023fa019d34e197b774",
@@ -84,11 +84,11 @@ GOLDEN = {
     "sweep": {
         "failures.csv": "7b39adae08a041715d2472e4b2fa7599e95c4b822f674b009ef298910f211dac",
         "slopes.json": "eada999582455c0477d6eb2cce5dfbbc8372bebe86aa2b35f0f952c9d2fe0f9d",
-        "sweep.csv": "3bbe44cfefcc453760ae2aae450162b807a7df1917717d5ede4a20d633c05226",
+        "sweep.csv": "9bb736e1b20d90cccf5dcca95b398089c46e66bd31182e225bcbba9afea5e759",
     },
     "train": {
         "checkpoint.bin": "fe667ded6e41a9f8e495ffb87464aef2cf3ca5b0ab010b18afb51a36d0ac079a",
-        "record.json": "81a54d944f5dca9032dac32d0e9f328d7d2b06438559dbc9a9ffecc7e800ec0d",
+        "record.json": "f3c38134652de84d5f917d315bdbcf60306357c18ccbb3cf7acfec90eff0f7bd",
         "training_log.csv": "a099a31d9dc0f015dafc54590ddb981d95f38b38074f9e7f32c406b4601de214",
     },
     "shatter": {

@@ -9,7 +9,6 @@ from scipy.special import beta as beta_fn
 
 from relulab.hardfn import (
     CapPacking,
-    MAX_CODE_WORDS,
     HardFamily,
     SignFamily,
     atom_l2_constants,
@@ -220,8 +219,6 @@ class TestSignFamily:
         # for about 9 s.
         with pytest.raises(ValueError, match="search limit"):
             varshamov_gilbert(88, rng=make_rng(0))
-        with pytest.raises(ValueError, match="search limit"):
-            varshamov_gilbert(16, target=MAX_CODE_WORDS + 1)
 
     def test_deterministic_exhaustive_path(self):
         a = varshamov_gilbert(16)

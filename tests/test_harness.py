@@ -117,14 +117,6 @@ class TestConfigHash:
             SweepConfig(dims=(), sample_sizes=(8,), train=TrainConfig(0.1, 1), sigma=0.1)
         with pytest.raises(ValueError):
             SweepConfig(dims=(2,), sample_sizes=(8,), train=TrainConfig(0.1, 1), sigma=-1.0)
-        with pytest.raises(ValueError):
-            SweepConfig(
-                dims=(2,),
-                sample_sizes=(8,),
-                train=TrainConfig(0.1, 1),
-                sigma=0.1,
-                mse_mode="holdout",
-            )
         with pytest.raises(ValueError, match="repeat"):
             SweepConfig(dims=(1, 1), sample_sizes=(8, 8, 16), train=TrainConfig(0.1, 1), sigma=0.1)
 
@@ -252,13 +244,8 @@ class TestSweep:
         result = run_mse_sweep(cfg)
         points = [(n, result.medians[(2, n)]["holdout_mse_vs_f0"]) for n in (8, 16, 32)]
         expected, _ = loglog_slope(points)
+        assert set(result.slopes) == {"in_sample_vs_f0", "holdout_vs_f0"}
         assert result.slopes["holdout_vs_f0"][2] == expected
-
-    def test_mse_mode_selects_slope_tables(self):
-        result = run_mse_sweep(_smoke_config(mse_mode="in_sample_vs_f0"))
-        assert set(result.slopes) == {"in_sample_vs_f0"}
-        both = run_mse_sweep(_smoke_config(mse_mode="both"))
-        assert set(both.slopes) == {"in_sample_vs_f0", "holdout_vs_f0"}
 
     def test_thread_pool_reproduces_serial_results(self, tmp_path):
         names = ("sweep.csv", "failures.csv", "slopes.json", "manifest.json")
