@@ -56,7 +56,7 @@ from relulab.sharpness import (
     ActivationBoundaryWarning,
     RegularityCertificate,
     gauss_newton_sharpness,
-    hessian_vector_product,
+    make_hessian_operator,
     regularity_certificate,
     term_a_lower_bound,
 )

@@ -29,9 +29,7 @@ from .harness import (
     write_manifest,
 )
 from .hardfn import (
-    HardFamily,
     HardfnConfig,
-    SignFamily,
     VgnormConfig,
     atom_l2_constants,
     atom_l2_norm,
@@ -80,21 +78,19 @@ def _config(cls, raw: dict, **given):
 
 
 # Keys and defaults are the config dataclasses' own; the CLI adds its own
-# keys (d and n for one cell, epoch_preset) and the values the dataclasses
-# leave without a default.
+# keys (d and n for one cell, epoch_preset), and a single cell has its own
+# d, n and sigma.
 _TRAIN_KEYS = _field_names(TrainConfig) | {"epoch_preset"}
-_TRAIN_DEFAULTS = {"eta": 0.1, "epochs": 100}
 _CELL_KEYS = {"d", "n"} | (_field_names(SweepConfig) - {"dims", "sample_sizes", "seeds_per_cell"})
 _CELL_DEFAULTS = {"d": 2, "n": 32, "sigma": 0.5}
-_SWEEP_DEFAULTS = {"dims": [1, 5], "sample_sizes": [32, 64, 128], "sigma": 1.0}
 
 
 def _train_config(raw: dict, seed: int) -> TrainConfig:
     _check_keys(raw, _TRAIN_KEYS, "train")
-    values = {**_TRAIN_DEFAULTS, **raw}
+    values = dict(raw)
     preset = values.pop("epoch_preset", None)
     if preset is not None:
-        values["epochs"] = preset_epochs(preset, values["eta"])
+        values["epochs"] = preset_epochs(preset, values.get("eta", TrainConfig.eta))
     return TrainConfig(seed=seed, **values)
 
 
@@ -134,14 +130,8 @@ def _execute_train(cfg: SweepConfig, args) -> int:
 def _prepare_sweep(raw: dict, args):
     if args.threads is not None:
         _check_count("threads", args.threads, 1)
-    _check_keys(raw, _field_names(SweepConfig), "config")
-    merged = {**_SWEEP_DEFAULTS, **raw}
-    return SweepConfig(
-        train=_train_config(merged.pop("train", {}), args.seed),
-        master_seed=args.seed,
-        output_dir=args.out,
-        **merged,
-    )
+    train = _train_config(raw.get("train", {}), args.seed)
+    return _config(SweepConfig, {**raw, "train": train}, master_seed=args.seed, output_dir=args.out)
 
 
 def _execute_sweep(cfg: SweepConfig, args) -> int:
@@ -201,24 +191,15 @@ def _execute_sharpness(cfg: SweepConfig, args) -> int:
     return 0
 
 
-@dataclasses.dataclass(frozen=True)
-class _Job:
-    """A validated config and the family built from it.  vgnorm and
-    hardfn-verify build theirs while preparing, so a family too large to
-    search exits 2 before --out exists."""
-
-    config: VgnormConfig | HardfnConfig
-    family: SignFamily | HardFamily
-
-
+# vgnorm and hardfn-verify build their family while preparing, so a family
+# too large to search exits 2 before --out exists.
 def _prepare_vgnorm(raw: dict, args):
     cfg = _config(VgnormConfig, raw)
-    code = varshamov_gilbert(cfg.code_length, rng=derive_rng(args.seed, 0))
-    return _Job(cfg, code)
+    return cfg, varshamov_gilbert(cfg.code_length, rng=derive_rng(args.seed, 0))
 
 
 def _execute_vgnorm(job, args) -> int:
-    cfg, family = job.config, job.family
+    cfg, family = job
     k = cfg.code_length
     # Each word against the words after it: no (M, M, k) array is built.
     rows = family.bits
@@ -244,12 +225,11 @@ def _execute_vgnorm(job, args) -> int:
 
 def _prepare_hardfn(raw: dict, args):
     cfg = _config(HardfnConfig, raw)
-    family = build_hard_family(derive_rng(args.seed, 0), cfg.d, cfg.eps, cfg.n_atoms, cfg.amplitude)
-    return _Job(cfg, family)
+    return cfg, build_hard_family(derive_rng(args.seed, 0), cfg.d, cfg.eps, cfg.n_atoms, cfg.amplitude)
 
 
 def _execute_hardfn(job, args) -> int:
-    cfg, family = job.config, job.family
+    cfg, family = job
     d, eps = cfg.d, cfg.eps
     i, j = 0, 1
 
@@ -315,14 +295,22 @@ def _execute_rates(cfg: RatesConfig, args) -> int:
     return 0
 
 
+# name -> (prepare, execute, help); an error in prepare exits 2 before --out exists.
 _COMMANDS = {
-    "train": (_cell_sweep_config, _execute_train),
-    "sweep-mse": (_prepare_sweep, _execute_sweep),
-    "shatter": (_prepare_shatter, _execute_shatter),
-    "sharpness": (_cell_sweep_config, _execute_sharpness),
-    "vgnorm": (_prepare_vgnorm, _execute_vgnorm),
-    "hardfn-verify": (_prepare_hardfn, _execute_hardfn),
-    "rates": (_prepare_rates, _execute_rates),
+    "train": (_cell_sweep_config, _execute_train,
+              "train one network on synthetic linear-target data"),
+    "sweep-mse": (_prepare_sweep, _execute_sweep,
+                  "run the (d, n, seed) sweep and fit log-log MSE slopes"),
+    "shatter": (_prepare_shatter, _execute_shatter,
+                "paired large-step vs weight-decay comparison"),
+    "sharpness": (_cell_sweep_config, _execute_sharpness,
+                  "train a cell, then measure sharpness and the certificate"),
+    "vgnorm": (_prepare_vgnorm, _execute_vgnorm,
+               "build and audit a separated sign family"),
+    "hardfn-verify": (_prepare_hardfn, _execute_hardfn,
+                      "closed-form vs Monte Carlo checks on a hard family"),
+    "rates": (_prepare_rates, _execute_rates,
+              "write the predicted-exponent table"),
 }
 
 
@@ -332,16 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Sharpness, variation norms, hard families, scaling sweeps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    help_lines = {
-        "train": "train one network on synthetic linear-target data",
-        "sweep-mse": "run the (d, n, seed) sweep and fit log-log MSE slopes",
-        "shatter": "paired large-step vs weight-decay comparison",
-        "sharpness": "train a cell, then measure sharpness and the certificate",
-        "vgnorm": "build and audit a separated sign family",
-        "hardfn-verify": "closed-form vs Monte Carlo checks on a hard family",
-        "rates": "write the predicted-exponent table",
-    }
-    for name, text in help_lines.items():
+    for name, (_, _, text) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=text)
         cmd.add_argument("--seed", type=int, default=0, help="master seed, >= 0 (default 0)")
         cmd.add_argument("--config", default=None, help="path to a JSON config file")
@@ -357,7 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    prepare, execute = _COMMANDS[args.command]
+    prepare, execute, _ = _COMMANDS[args.command]
     try:
         _check_count("--seed", args.seed, 0)
         if args.config is None:

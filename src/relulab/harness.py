@@ -115,10 +115,10 @@ class SweepConfig:
     columns, in-sample and holdout against the clean target.
     """
 
-    dims: tuple
-    sample_sizes: tuple
-    train: TrainConfig
-    sigma: float
+    dims: tuple = (1, 5)
+    sample_sizes: tuple = (32, 64, 128)
+    train: TrainConfig = TrainConfig()
+    sigma: float = 1.0
     seeds_per_cell: int = 5
     width_rule: int = 4
     holdout_size: int = 10000

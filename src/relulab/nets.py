@@ -174,19 +174,29 @@ def param_count(d: int, k: int) -> int:
     return k * (d + 2) + 1
 
 
+def _split(theta: np.ndarray, d: int, k: int):
+    """Views ``(w, b, v, beta)`` of a vector in the flat layout
+    [w row-major, b, v, beta], the one place that layout is sliced."""
+    wd = k * d
+    return theta[:wd].reshape(k, d), theta[wd : wd + k], theta[wd + k : wd + 2 * k], theta[-1]
+
+
+def _join(w, b, v, beta) -> np.ndarray:
+    """The flat vector of ``(w, b, v, beta)``, the inverse of :func:`_split`."""
+    return np.concatenate([w.ravel(), b, v, [beta]])
+
+
 def pack_params(net: TwoLayerNet) -> np.ndarray:
     """Flatten to the fixed layout [w row-major, b, v, beta]."""
-    return np.concatenate([net.w.ravel(), net.b, net.v, [net.beta]])
+    return _join(net.w, net.b, net.v, net.beta)
 
 
 def unpack_params(theta: np.ndarray, d: int, k: int) -> TwoLayerNet:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (param_count(d, k),):
         raise ValueError(f"expected {param_count(d, k)} parameters, got shape {theta.shape}")
-    w = theta[: k * d].reshape(k, d)
-    b = theta[k * d : k * d + k]
-    v = theta[k * d + k : k * d + 2 * k]
-    return TwoLayerNet(w=w.copy(), b=b.copy(), v=v.copy(), beta=float(theta[-1]))
+    w, b, v, beta = _split(theta, d, k)
+    return TwoLayerNet(w=w.copy(), b=b.copy(), v=v.copy(), beta=float(beta))
 
 
 def _residual_pass(x, y, w, b, v, beta, z_out=None):
@@ -228,16 +238,14 @@ def _residual_pass(x, y, w, b, v, beta, z_out=None):
 def _grad_flat(theta: np.ndarray, x: np.ndarray, y: np.ndarray, d: int, k: int):
     """Gradient in flat layout plus the loss value, one residual pass."""
     n = x.shape[0]
-    w = theta[: k * d].reshape(k, d)
-    b = theta[k * d : k * d + k]
-    v = theta[k * d + k : k * d + 2 * k]
-    r, col, colsum, gv = _residual_pass(x, y, w, b, v, theta[-1])
+    w, b, v, beta = _split(theta, d, k)
+    r, col, colsum, gv = _residual_pass(x, y, w, b, v, beta)
     loss_val = 0.5 * float(np.mean(r * r))
     # dL/dw_k = (1/n) sum_i r_i v_k 1_ik x_i ; dL/db_k = -(1/n) sum_i r_i v_k 1_ik
     gw = v[:, None] * col
     gb = -v * colsum
     gbeta = float((r / n).sum())
-    return np.concatenate([gw.ravel(), gb, gv, [gbeta]]), loss_val
+    return _join(gw, gb, gv, gbeta), loss_val
 
 
 def loss_gradient(net: TwoLayerNet, data: Dataset) -> np.ndarray:

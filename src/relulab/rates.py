@@ -35,13 +35,17 @@ __all__ = [
     "RatesConfig",
 ]
 
-RATE_KINDS = (
-    "gen_gap_upper",
-    "gen_gap_lower",
-    "mse_upper",
-    "mse_lower",
-    "wd_reference",
-)
+_RATES = {
+    "gen_gap_upper": lambda d: Fraction(1, 2 * d + 2),
+    "gen_gap_lower": lambda d: Fraction(2, d + 1),
+    "mse_upper": lambda d: Fraction(d + 3, 2 * d * d + 6 * d + 3),
+    "mse_lower": lambda d: Fraction(1, 2) if d == 1 else Fraction(2, d + 1),
+    "wd_reference": lambda d: Fraction(1, 4),
+}
+
+RATE_KINDS = tuple(_RATES)
+
+_DEFAULT_DIMS = tuple(range(1, 11))
 
 
 def predicted_exponent(d: int, which: str) -> Fraction:
@@ -49,17 +53,9 @@ def predicted_exponent(d: int, which: str) -> Fraction:
     d = int(d)
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    if which == "gen_gap_upper":
-        return Fraction(1, 2 * d + 2)
-    if which == "gen_gap_lower":
-        return Fraction(2, d + 1)
-    if which == "mse_upper":
-        return Fraction(d + 3, 2 * d * d + 6 * d + 3)
-    if which == "mse_lower":
-        return Fraction(1, 2) if d == 1 else Fraction(2, d + 1)
-    if which == "wd_reference":
-        return Fraction(1, 4)
-    raise ValueError(f"unknown rate kind {which!r}; expected one of {RATE_KINDS}")
+    if which not in RATE_KINDS:
+        raise ValueError(f"unknown rate kind {which!r}; expected one of {RATE_KINDS}")
+    return _RATES[which](d)
 
 
 @dataclass(frozen=True)
@@ -86,7 +82,7 @@ def compare_slopes(observed_slope: float, d: int, which: str) -> SlopeComparison
     )
 
 
-def exponent_table(d_values=range(1, 11)) -> list[dict]:
+def exponent_table(d_values=_DEFAULT_DIMS) -> list[dict]:
     """One row per dimension with every kind's exact rate."""
     rows = []
     for d in d_values:
@@ -97,7 +93,7 @@ def exponent_table(d_values=range(1, 11)) -> list[dict]:
     return rows
 
 
-def exponent_table_to_csv(path, d_values=range(1, 11)) -> None:
+def exponent_table_to_csv(path, d_values=_DEFAULT_DIMS) -> None:
     """Rates written as exact fraction strings (e.g. ``4/11``)."""
     write_csv(path, ("d", *RATE_KINDS), (row.values() for row in exponent_table(d_values)))
 
@@ -106,7 +102,7 @@ def exponent_table_to_csv(path, d_values=range(1, 11)) -> None:
 class RatesConfig:
     """Settings of ``rates``: the dimensions of the exponent table."""
 
-    dims: tuple = tuple(range(1, 11))
+    dims: tuple = _DEFAULT_DIMS
 
     def __post_init__(self):
         check_int_fields(self)

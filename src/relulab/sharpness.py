@@ -33,9 +33,10 @@ from relulab.nets import (
     Dataset,
     TwoLayerNet,
     _block_buffer,
+    _join,
     _preact_blocks,
     _residual_pass,
-    forward,
+    _split,
     loss,
     param_count,
     to_reduced_form,
@@ -49,7 +50,6 @@ from relulab.weights import g_empirical, tilde_g_empirical
 
 __all__ = [
     "ActivationBoundaryWarning",
-    "hessian_vector_product",
     "make_hessian_operator",
     "sharpness",
     "gauss_newton_sharpness",
@@ -72,7 +72,8 @@ def make_hessian_operator(
     data: Dataset,
     gauss_newton_only: bool = False,
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """Return a closure computing ``H @ vec`` in the flat parameter layout.
+    """Return a closure computing ``H @ vec`` in the flat parameter layout;
+    it raises ``ValueError`` unless ``vec`` has shape (m,).
 
     The build is the gradient's residual pass, which also copies the
     preactivations into the one (n, K) float array the operator keeps (about
@@ -86,6 +87,7 @@ def make_hessian_operator(
     x = data.inputs
     n, d = x.shape
     k = net.width
+    m = param_count(d, k)
     v = net.v
 
     a = np.empty((n, k))
@@ -100,15 +102,13 @@ def make_hessian_operator(
     act = a > 0.0
     np.maximum(a, 0.0, out=a)
 
-    wd = k * d
     sact_buf = _block_buffer(n, k)
     sx_buf = _block_buffer(n, d + 1)
 
     def apply(vec: np.ndarray) -> np.ndarray:
-        vw = vec[:wd].reshape(k, d)
-        vb = vec[wd : wd + k]
-        vv = vec[wd + k : wd + 2 * k]
-        vbeta = vec[-1]
+        if np.shape(vec) != (m,):
+            raise ValueError(f"expected flat vector of length {m}, got shape {np.shape(vec)}")
+        vw, vb, vv, vbeta = _split(vec, d, k)
 
         s = np.empty(n)                 # per-example gradient pairing
         swx = np.zeros((d + 1, k))      # sum_i s_i 1_ik [x_i, 1]
@@ -140,23 +140,9 @@ def make_hessian_operator(
             hw = hw + vv[:, None] * res_wx
             hb = hb - vv * res_bsum
 
-        return np.concatenate([hw.ravel(), hb, hv, [hbeta]])
+        return _join(hw, hb, hv, hbeta)
 
     return apply
-
-
-def hessian_vector_product(
-    net: TwoLayerNet,
-    data: Dataset,
-    vec: np.ndarray,
-    gauss_newton_only: bool = False,
-) -> np.ndarray:
-    """Exact ``H @ vec`` for the loss Hessian (or its Gauss-Newton part)."""
-    vec = np.asarray(vec, dtype=float)
-    m = param_count(net.input_dim, net.width)
-    if vec.shape != (m,):
-        raise ValueError(f"expected flat vector of length {m}, got shape {vec.shape}")
-    return make_hessian_operator(net, data, gauss_newton_only)(vec)
 
 
 def _top_eigenvalue(

@@ -57,8 +57,8 @@ class TrainConfig:
     products of one reading.
     """
 
-    eta: float
-    epochs: int
+    eta: float = 0.1
+    epochs: int = 100
     clip_threshold: float = 50.0
     weight_decay: float = 0.0
     seed: int = 0
@@ -130,6 +130,9 @@ def train(net: TwoLayerNet, data: Dataset, config: TrainConfig) -> TrainLog:
 
     Raises :class:`TrainingDivergedError` the first time the loss or the
     parameters stop being finite.
+
+    Runs at the caller's BLAS thread count: the harness's sweep, shatter and
+    single-cell runs pin it to one, a bare call takes the environment's.
     """
     d, k = net.input_dim, net.width
     theta = pack_params(net)

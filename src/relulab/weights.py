@@ -192,10 +192,9 @@ def g_simplified(d: int, t: float) -> float:
 # empirical weight from a point cloud
 # ---------------------------------------------------------------------------
 
-def _empirical_factors(points, u, t, orientations: int) -> list:
-    """Plug-in one-sided factors of the pairs ``(u_j, t_j)`` and, with
-    ``orientations == 2``, of the flipped pairs ``(-u_j, -t_j)``: one (m,)
-    array per orientation.
+def _empirical_factors(points, u, t) -> np.ndarray:
+    """Plug-in one-sided factors of the pairs ``(u_j, t_j)`` (row 0) and of
+    the flipped pairs ``(-u_j, -t_j)`` (row 1), as a (2, m) array.
 
     One pass over the row blocks of ``points`` accumulates each pair's event
     count, clipped gap sum and masked point sum.  The flipped pair's
@@ -204,33 +203,29 @@ def _empirical_factors(points, u, t, orientations: int) -> list:
     bits a pass of its own would.
     """
     x = np.asarray(points, dtype=float)
-    dirs = np.atleast_2d(u)
+    dirs = np.atleast_2d(np.asarray(u, dtype=float))
     offsets = np.atleast_1d(np.asarray(t, dtype=float))
     n, m = x.shape[0], dirs.shape[0]
-    count = np.zeros((orientations, m))
-    gap = np.zeros((orientations, m))
-    point_sum = np.zeros((orientations, *dirs.shape))
+    count = np.zeros((2, m))
+    gap = np.zeros((2, m))
+    point_sum = np.zeros((2, *dirs.shape))
     hit_buf = _block_buffer(n, m)
     for rows, z in _preact_blocks(x, dirs, offsets):
         hit = hit_buf[: z.shape[0]]
-        for side, event in zip(range(orientations), (np.greater, np.less)):
+        for side, event in enumerate((np.greater, np.less)):
             event(z, 0.0, out=hit)
             count[side] += hit.sum(axis=0)
             point_sum[side] += hit.T @ x[rows]
-        if orientations == 2:
-            np.negative(z, out=hit)
-            np.maximum(hit, 0.0, out=hit)
-            gap[1] += hit.sum(axis=0)
+        np.negative(z, out=hit)
+        np.maximum(hit, 0.0, out=hit)
+        gap[1] += hit.sum(axis=0)
         np.maximum(z, 0.0, out=z)
         gap[0] += z.sum(axis=0)
-    factors = []
-    for side in range(orientations):
-        # An empty event has zero sums, so dividing by one leaves its factor 0.
-        seen = np.maximum(count[side], 1.0)
-        mean = point_sum[side] / seen[:, None]
-        p = count[side] / n
-        factors.append(p * p * (gap[side] / seen) * np.sqrt(1.0 + np.sum(mean * mean, axis=1)))
-    return factors
+    # An empty event has zero sums, so dividing by one leaves its factor 0.
+    seen = np.maximum(count, 1.0)
+    mean = point_sum / seen[..., None]
+    p = count / n
+    return p * p * (gap / seen) * np.sqrt(1.0 + np.sum(mean * mean, axis=2))
 
 
 def tilde_g_empirical(points: np.ndarray, u: np.ndarray, t):
@@ -241,17 +236,15 @@ def tilde_g_empirical(points: np.ndarray, u: np.ndarray, t):
     conditioning event ``x . u > t``; an empty event gives 0.  ``u`` is taken
     as given (callers pass unit directions).
     """
-    u = np.asarray(u, dtype=float)
-    (out,) = _empirical_factors(points, u, t, 1)
-    return float(out[0]) if u.ndim == 1 else out
+    out = _empirical_factors(points, u, t)[0]
+    return float(out[0]) if np.ndim(u) == 1 else out
 
 
 def g_empirical(points: np.ndarray, u: np.ndarray, t):
     """min over the two orientations of the plug-in factor, per pair; both
     orientations come from one pass over the points."""
-    u = np.asarray(u, dtype=float)
-    out = np.minimum(*_empirical_factors(points, u, t, 2))
-    return out[0] if u.ndim == 1 else out
+    out = _empirical_factors(points, u, t).min(axis=0)
+    return out[0] if np.ndim(u) == 1 else out
 
 
 def _check_dim(d: int) -> int:

@@ -51,7 +51,7 @@ from relulab.numerics import derive_rng, make_rng, sample_uniform_ball
 from relulab.rates import predicted_exponent
 from relulab.sharpness import (
     ActivationBoundaryWarning,
-    hessian_vector_product,
+    make_hessian_operator,
     regularity_certificate,
     sharpness,
 )
@@ -121,7 +121,7 @@ def test_criterion_01_gradient_and_hvp_match_finite_differences():
         vec /= np.linalg.norm(vec)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ActivationBoundaryWarning)
-            hvp = hessian_vector_product(net, data, vec)
+            hvp = make_hessian_operator(net, data)(vec)
         h = 1e-6
         gp = loss_gradient(unpack_params(theta + h * vec, d, k), data)
         gm = loss_gradient(unpack_params(theta - h * vec, d, k), data)
@@ -146,9 +146,8 @@ def test_criterion_02_sharpness_matches_dense_hessian():
         m = param_count(1, 2)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ActivationBoundaryWarning)
-            dense = np.column_stack(
-                [hessian_vector_product(net, data, e) for e in np.eye(m)]
-            )
+            op = make_hessian_operator(net, data)
+            dense = np.column_stack([op(e) for e in np.eye(m)])
             top = np.linalg.eigvalsh(dense).max()
             estimate = sharpness(net, data, rel_tol=1e-10, max_iters=50000, rng=rng).value
         np.testing.assert_allclose(estimate, top, rtol=1e-6)

@@ -181,20 +181,22 @@ def _pinned_form(prepared) -> dict:
     """Canonical dict of what a command's prepare step hands its executor.
 
     train, sweep-mse, shatter and sharpness get a config dataclass with
-    ``as_dict``; vgnorm and hardfn-verify get a job holding their config;
+    ``as_dict``; vgnorm and hardfn-verify get the pair (config, family);
     rates gets its config.
     """
     if hasattr(prepared, "as_dict"):
         return prepared.as_dict()
-    return dataclasses.asdict(getattr(prepared, "config", prepared))
+    return dataclasses.asdict(prepared[0] if isinstance(prepared, tuple) else prepared)
 
 
 class TestDefaults:
     @pytest.mark.parametrize("command", COMMANDS)
     def test_default_config_is_pinned(self, command, tmp_path, monkeypatch):
-        prepare, _ = cli._COMMANDS[command]
+        prepare, _, text = cli._COMMANDS[command]
         seen = []
-        monkeypatch.setitem(cli._COMMANDS, command, (prepare, lambda p, args: seen.append(p) or 0))
+        monkeypatch.setitem(
+            cli._COMMANDS, command, (prepare, lambda p, args: seen.append(p) or 0, text)
+        )
         assert main([command, "--out", str(tmp_path / "o")]) == 0
         assert config_hash(_pinned_form(seen[0])) == DEFAULT_CONFIG_HASHES[command]
 

@@ -22,7 +22,6 @@ from relulab.sharpness import (
     ActivationBoundaryWarning,
     RegularityCertificate,
     gauss_newton_sharpness,
-    hessian_vector_product,
     make_hessian_operator,
     regularity_certificate,
     sharpness,
@@ -111,10 +110,11 @@ class TestHvpAgainstFiniteDifferences:
         theta = pack_params(net)
         m = theta.size
         eps = 1e-5
+        op = make_hessian_operator(net, data)
         for _ in range(4):
             vec = rng.normal(size=m)
             vec /= np.linalg.norm(vec)
-            hv = hessian_vector_product(net, data, vec)
+            hv = op(vec)
             gp = loss_gradient(unpack_params(theta + eps * vec, d, k), data)
             gm = loss_gradient(unpack_params(theta - eps * vec, d, k), data)
             fd = (gp - gm) / (2.0 * eps)
@@ -141,8 +141,11 @@ class TestHvpAgainstFiniteDifferences:
     def test_rejects_wrong_vector_shape(self):
         rng = make_rng(79)
         net, data = _random_instance(rng, 1, 2, 3)
-        with pytest.raises(ValueError, match="flat vector"):
-            hessian_vector_product(net, data, np.zeros(3))
+        op = make_hessian_operator(net, data)
+        m = param_count(1, 2)
+        for shape in [(m - 1,), (m + 1,), (m, 1)]:
+            with pytest.raises(ValueError, match=f"flat vector of length {m}"):
+                op(np.zeros(shape))
 
 
 class TestSharpnessValues:
@@ -178,7 +181,7 @@ class TestSharpnessValues:
         net = TwoLayerNet(w=[[1.0]], b=[b], v=[1.0], beta=0.0)
         data = Dataset(inputs=[[0.5]], labels=[0.0])
         with pytest.warns(ActivationBoundaryWarning):
-            hessian_vector_product(net, data, np.zeros(param_count(1, 1)))
+            make_hessian_operator(net, data)
 
     @pytest.mark.parametrize("b", [0.2, 0.8])
     def test_interior_preactivation_does_not_warn(self, b):
@@ -186,7 +189,7 @@ class TestSharpnessValues:
         data = Dataset(inputs=[[0.5]], labels=[0.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            hessian_vector_product(net, data, np.zeros(param_count(1, 1)))
+            make_hessian_operator(net, data)(np.zeros(param_count(1, 1)))
 
 
 class TestTermALowerBound:

@@ -7,6 +7,10 @@ Each seed is one ``relubench/run.py`` process, started fresh.  With
 ``--baseline REV`` the same seeds also run on a copy of commit ``REV``
 (extracted with ``git archive``), alternating which side runs first from one
 seed to the next, so slow spells on the machine fall on both sides alike.
+Both sides are byte-compiled before the first seed, so that neither side's
+fresh interpreters compile relulab from source while the other's load
+``__pycache__``; ``compileall`` writes it even under
+``PYTHONDONTWRITEBYTECODE``.
 
 The output holds, per side, every run's metrics and the median and quartiles
 of each metric; with a baseline, the number of seeds on which the working
@@ -119,6 +123,7 @@ def main(argv=None) -> int:
     head, dirty = _git("rev-parse", "HEAD"), bool(_git("status", "--porcelain"))
     change, parent = [], []
     with tempfile.TemporaryDirectory(prefix="bench_json_") as scratch:
+        checkouts = [ROOT]
         if args.baseline:
             base_sha = _git("rev-parse", args.baseline)
             archive = os.path.join(scratch, "baseline.tar")
@@ -126,6 +131,11 @@ def main(argv=None) -> int:
             base_dir = os.path.join(scratch, "baseline")
             with tarfile.open(archive) as tar:
                 tar.extractall(base_dir, filter="data")
+            checkouts.append(base_dir)
+        for checkout in checkouts:
+            subprocess.run(
+                [sys.executable, "-m", "compileall", "-q", "src", "relubench"], cwd=checkout, check=True
+            )
         for i, seed in enumerate(args.seeds):
             order = ("change", "parent") if i % 2 == 0 else ("parent", "change")
             for side in order if args.baseline else ("change",):
