@@ -141,12 +141,29 @@ def _block_buffer(n: int, k: int) -> np.ndarray:
 
 def _preact_blocks(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     """Yield ``(rows, z)`` with ``z = x[rows] @ w.T - b`` for each row block;
-    every ``z`` reuses one buffer, which callers may overwrite in place."""
-    buf = _block_buffer(x.shape[0], w.shape[0])
-    for rows in _row_blocks(x.shape[0]):
+    every ``z`` reuses one buffer, which callers may overwrite in place.
+
+    The bias is the (d + 1)-th input weight against a constant -1 input, so
+    one product ``[x | -1] @ [w | b].T`` writes each block without a second
+    pass over it.  The GEMM adds that term last, which rounds as ``- b``
+    does.  A product with one row (n = 1) or one column (K = 1) goes
+    through gemv, which rounds the folded term apart, so it keeps the
+    product and the subtraction.
+    """
+    n, d = x.shape
+    buf = _block_buffer(n, w.shape[0])
+    xa = _block_buffer(n, d + 1)
+    xa[:, d] = -1.0
+    wa = np.column_stack([w, b])
+    for rows in _row_blocks(n):
         z = buf[: rows.stop - rows.start]
-        np.matmul(x[rows], w.T, out=z)
-        z -= b
+        if 1 in z.shape:
+            np.matmul(x[rows], w.T, out=z)
+            z -= b
+        else:
+            xb = xa[: z.shape[0]]
+            xb[:, :d] = x[rows]
+            np.matmul(xb, wa.T, out=z)
         yield rows, z
 
 

@@ -192,35 +192,34 @@ def g_simplified(d: int, t: float) -> float:
 # empirical weight from a point cloud
 # ---------------------------------------------------------------------------
 
-def _empirical_factors(points, u, t) -> np.ndarray:
-    """Plug-in one-sided factors of the pairs ``(u_j, t_j)`` (row 0) and of
-    the flipped pairs ``(-u_j, -t_j)`` (row 1), as a (2, m) array.
+def _empirical_factors(points, u, t, sides: int) -> np.ndarray:
+    """Plug-in one-sided factors of the pairs ``(u_j, t_j)`` (row 0) and,
+    when ``sides`` is 2, of the flipped pairs ``(-u_j, -t_j)`` (row 1), as a
+    (sides, m) array.
 
     One pass over the row blocks of ``points`` accumulates each pair's event
     count, clipped gap sum and masked point sum.  The flipped pair's
-    preactivations are -z, its event is ``z < 0`` and its gap
-    ``max(-z, 0)``; rounding is symmetric in sign, so these sums carry the
-    bits a pass of its own would.
+    preactivations are -z, negated in place; rounding is symmetric in sign,
+    so its sums carry the bits a pass of its own would.
     """
     x = np.asarray(points, dtype=float)
     dirs = np.atleast_2d(np.asarray(u, dtype=float))
     offsets = np.atleast_1d(np.asarray(t, dtype=float))
     n, m = x.shape[0], dirs.shape[0]
-    count = np.zeros((2, m))
-    gap = np.zeros((2, m))
-    point_sum = np.zeros((2, *dirs.shape))
+    count = np.zeros((sides, m))
+    gap = np.zeros((sides, m))
+    point_sum = np.zeros((sides, *dirs.shape))
     hit_buf = _block_buffer(n, m)
     for rows, z in _preact_blocks(x, dirs, offsets):
         hit = hit_buf[: z.shape[0]]
-        for side, event in enumerate((np.greater, np.less)):
-            event(z, 0.0, out=hit)
+        for side in range(sides):
+            if side:
+                np.negative(z, out=z)
+            np.greater(z, 0.0, out=hit)
             count[side] += hit.sum(axis=0)
             point_sum[side] += hit.T @ x[rows]
-        np.negative(z, out=hit)
-        np.maximum(hit, 0.0, out=hit)
-        gap[1] += hit.sum(axis=0)
-        np.maximum(z, 0.0, out=z)
-        gap[0] += z.sum(axis=0)
+            np.maximum(z, 0.0, out=hit)
+            gap[side] += hit.sum(axis=0)
     # An empty event has zero sums, so dividing by one leaves its factor 0.
     seen = np.maximum(count, 1.0)
     mean = point_sum / seen[..., None]
@@ -236,14 +235,14 @@ def tilde_g_empirical(points: np.ndarray, u: np.ndarray, t):
     conditioning event ``x . u > t``; an empty event gives 0.  ``u`` is taken
     as given (callers pass unit directions).
     """
-    out = _empirical_factors(points, u, t)[0]
+    out = _empirical_factors(points, u, t, 1)[0]
     return float(out[0]) if np.ndim(u) == 1 else out
 
 
 def g_empirical(points: np.ndarray, u: np.ndarray, t):
     """min over the two orientations of the plug-in factor, per pair; both
     orientations come from one pass over the points."""
-    out = _empirical_factors(points, u, t).min(axis=0)
+    out = _empirical_factors(points, u, t, 2).min(axis=0)
     return out[0] if np.ndim(u) == 1 else out
 
 

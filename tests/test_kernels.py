@@ -3,8 +3,13 @@
 The kernels work through the rows of ``x`` in blocks of ``ROW_BLOCK``; the
 references below hold every (n, K) array whole, as the formulas read.  The
 gradient and Hessian-vector sums accumulate in another order, so they agree
-to a relative 1e-13; every forward value is a per-row product and every
-activation fraction an exact count, so those agree bit for bit.  The
+to a relative 1e-13.  Every forward value is a per-row product and every
+activation fraction an exact count, so those agree bit for bit, although the
+kernels fold the bias into the product as a weight on a constant -1 input
+and the references subtract it after.  That bit-equality rests on the BLAS
+kernel adding the folded term last: it holds under OpenBLAS's SkylakeX and
+Sandybridge kernels, but not under Haswell, where products at d >= 10 over
+an odd number of rows round apart, as the golden artifacts do.  The
 empirical weight takes all its directions in one blocked pass; its reference
 takes one direction at a time, as the flatness certificate once did.
 """
@@ -136,9 +141,39 @@ def _assert_close(got, ref):
 SIZES = [1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1, 2 * ROW_BLOCK + 2]
 
 
-@pytest.mark.parametrize("n", SIZES + [10000])
-def test_blocked_forward_equals_unblocked_reference(n):
-    net, data, _ = _instance(n)
+def _sizes_and_dims(sizes, dims=(1, 3, 10)):
+    """(n, d) cases; those at ``_instance``'s default d = 3 are named by n alone."""
+    return [pytest.param(n, d, id=str(n) if d == 3 else f"{n}-d{d}") for d in dims for n in sizes]
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 10, 16])
+@pytest.mark.parametrize("n", [1, 2, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 2])
+def test_folded_bias_equals_product_then_subtraction(n, d):
+    # One column (K = 1) takes the unfolded path, as one row (n = 1) does.
+    # x_0 = (0.5, 0, ...) sits exactly on the first neuron's kink, (e_1, 0.5).
+    rng = make_rng(10 * n + d)
+    x = sample_uniform_ball(rng, d, n)
+    x[0] = 0.0
+    x[0, 0] = 0.5
+    for k in (1, 40):
+        w = rng.standard_normal((k, d))
+        b = rng.normal(scale=0.3, size=k)
+        w[0] = 0.0
+        w[0, 0] = 1.0
+        b[0] = 0.5
+        seen = 0
+        for rows, z in nets._preact_blocks(x, w, b):
+            ref = x[rows] @ w.T - b
+            assert np.array_equal(z, ref) and np.array_equal(np.signbit(z), np.signbit(ref))
+            seen += z.shape[0]
+        assert seen == n
+        z0 = next(nets._preact_blocks(x, w, b))[1][0, 0]
+        assert z0 == 0.0 and not np.signbit(z0)
+
+
+@pytest.mark.parametrize(("n", "d"), _sizes_and_dims(SIZES + [10000]))
+def test_blocked_forward_equals_unblocked_reference(n, d):
+    net, data, _ = _instance(n, d=d)
     got = forward(net, data.inputs)
     assert got.shape == (n,)
     assert np.array_equal(got, _reference_forward(net, data.inputs))
@@ -152,9 +187,9 @@ def test_forward_of_a_single_point_is_a_float():
         assert got == _reference_forward(net, x[None, :])[0]
 
 
-@pytest.mark.parametrize("n", SIZES + [10000])
-def test_blocked_activation_fractions_equal_unblocked_reference(n):
-    net, data, _ = _instance(n)
+@pytest.mark.parametrize(("n", "d"), _sizes_and_dims(SIZES + [10000]))
+def test_blocked_activation_fractions_equal_unblocked_reference(n, d):
+    net, data, _ = _instance(n, d=d)
     z = data.inputs @ net.w.T - net.b
     fraction = neuron_stats(net, data.inputs).activation_fraction
     assert np.array_equal(fraction, np.mean(z > 0.0, axis=0))
