@@ -141,16 +141,17 @@ def _assert_close(got, ref):
 SIZES = [1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1, 2 * ROW_BLOCK + 2]
 
 
-def _sizes_and_dims(sizes, dims=(1, 3, 10)):
-    """(n, d) cases; those at ``_instance``'s default d = 3 are named by n alone."""
-    return [pytest.param(n, d, id=str(n) if d == 3 else f"{n}-d{d}") for d in dims for n in sizes]
+def _sizes_and_dims(sizes):
+    """(n, d) cases at d in {1, 3, 10}; those at ``_instance``'s default
+    d = 3 are named by n alone."""
+    return [pytest.param(n, d, id=str(n) if d == 3 else f"{n}-d{d}") for d in (1, 3, 10) for n in sizes]
 
 
 @pytest.mark.parametrize("d", [1, 2, 5, 10, 16])
 @pytest.mark.parametrize("n", [1, 2, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 2])
 def test_folded_bias_equals_product_then_subtraction(n, d):
     # One column (K = 1) takes the unfolded path, as one row (n = 1) does.
-    # x_0 = (0.5, 0, ...) sits exactly on the first neuron's kink, (e_1, 0.5).
+    # x_0 = (0.5, 0, ...) sits exactly on the first neuron's kink, b_0 = w_00 / 2.
     rng = make_rng(10 * n + d)
     x = sample_uniform_ball(rng, d, n)
     x[0] = 0.0
@@ -158,9 +159,7 @@ def test_folded_bias_equals_product_then_subtraction(n, d):
     for k in (1, 40):
         w = rng.standard_normal((k, d))
         b = rng.normal(scale=0.3, size=k)
-        w[0] = 0.0
-        w[0, 0] = 1.0
-        b[0] = 0.5
+        b[0] = 0.5 * w[0, 0]
         seen = 0
         for rows, z in nets._preact_blocks(x, w, b):
             ref = x[rows] @ w.T - b
